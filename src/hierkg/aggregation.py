@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,17 +76,36 @@ def connectivity_matrix(
 
     aggregate_ids[j] is the aggregate generated for assignment.clusters[j].
     """
+    return _bucket_relations(h, layer, assignment, aggregate_ids)[1]
+
+
+def _bucket_relations(
+    h: Hierarchy,
+    layer: GraphLayer,
+    assignment: ClusterAssignment,
+    aggregate_ids: list[str],
+) -> tuple[list[list[str]], list[InterClusterEvidence]]:
+    """One sorted pass over the layer's relations, split by cluster label.
+
+    Returns, per cluster j, the ids that intra_cluster_relations would give
+    for assignment.clusters[j], and the evidence of connectivity_matrix.
+    """
     label_of = assignment.labels()
+    intra: list[list[str]] = [[] for _ in assignment.clusters]
     by_pair: dict[tuple[str, str], list[str]] = {}
     for rid in sorted(layer.relation_ids):
         r = h.relations[rid]
         ja = label_of.get(r.source_id)
         jb = label_of.get(r.target_id)
-        if ja is None or jb is None or ja == jb:
+        if ja is None or jb is None:
+            continue
+        if ja == jb:
+            intra[ja].append(rid)
             continue
         pair = tuple(sorted((aggregate_ids[ja], aggregate_ids[jb])))
         by_pair.setdefault(pair, []).append(rid)
-    return [InterClusterEvidence(pair=p, cross_relation_ids=rids) for p, rids in sorted(by_pair.items())]
+    evidence = [InterClusterEvidence(pair=p, cross_relation_ids=rids) for p, rids in sorted(by_pair.items())]
+    return intra, evidence
 
 
 def _run_ordered(tasks, fn, max_workers: int):
@@ -136,20 +155,22 @@ def build_layer(
         )
 
     clusters = sorted((sorted(c) for c in assignment.clusters if c), key=lambda c: c[0])
+    aggregate_ids = [f"agg:{new_index}:{ordinal}" for ordinal in range(len(clusters))]
+    # canonicalize the assignment to the ordering used for id generation
+    ordered_assignment = ClusterAssignment(layer=lower.index, clusters=[set(c) for c in clusters])
+    intra, evidence = _bucket_relations(h, lower, ordered_assignment, aggregate_ids)
 
-    def _gen_entity(members: list[str]):
+    def _gen_entity(task: tuple[list[str], list[str]]):
+        members, intra_ids = task
         pairs = [(h.entities[eid].name, h.entities[eid].description) for eid in members]
-        intra = intra_cluster_relations(h, lower, set(members))
         return gen_provider.generate_aggregate_entity(
-            pairs, [h.relations[rid].description for rid in intra]
+            pairs, [h.relations[rid].description for rid in intra_ids]
         )
 
-    results = _run_ordered(clusters, _gen_entity, max_workers)
+    results = _run_ordered(list(zip(clusters, intra)), _gen_entity, max_workers)
 
     new_layer = GraphLayer(index=new_index)
-    aggregate_ids: list[str] = []
-    for ordinal, (members, result) in enumerate(zip(clusters, results)):
-        agg_id = f"agg:{new_index}:{ordinal}"
+    for agg_id, members, result in zip(aggregate_ids, clusters, results):
         h.entities[agg_id] = Entity(
             id=agg_id,
             name=result.name,
@@ -157,14 +178,9 @@ def build_layer(
             layer=new_index,
         )
         new_layer.entity_ids.add(agg_id)
-        aggregate_ids.append(agg_id)
         for eid in members:
             h.entities[eid].parent_id = agg_id
             h.parent_map[eid] = agg_id
-
-    # canonicalize the assignment to the ordering used for id generation
-    ordered_assignment = ClusterAssignment(layer=lower.index, clusters=[set(c) for c in clusters])
-    evidence = connectivity_matrix(h, lower, ordered_assignment, aggregate_ids)
 
     tau = params.tau_for_layer(new_index)
     name_desc = {aid: (h.entities[aid].name, h.entities[aid].description) for aid in aggregate_ids}
@@ -225,8 +241,11 @@ def build_hierarchy(
     if not entities:
         raise InvalidArgumentError("layer 0 is empty")
     layer0 = GraphLayer(index=0, entity_ids=set(entities), relation_ids=set(relations))
+    # copies: parent_id is set on h.entities, never on the caller's objects
     h = Hierarchy(
-        entities=dict(entities),
+        entities={
+            eid: replace(e, source_chunk_ids=list(e.source_chunk_ids)) for eid, e in entities.items()
+        },
         relations=dict(relations),
         layers=[layer0],
         parent_map={},

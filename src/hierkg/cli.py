@@ -8,6 +8,7 @@ rendering for `query --format text`); logs go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -183,12 +184,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ratios = [row["ratio"] for row in rows if row["ratio"] is not None]
     mean_ratio = sum(ratios) / len(ratios) if ratios else None
     if args.format == "csv":
-        sys.stdout.write("query,lean_tokens,baseline_tokens,ratio\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["query", "lean_tokens", "baseline_tokens", "ratio"])
         for row in rows:
             ratio = "" if row["ratio"] is None else f"{row['ratio']:.6f}"
-            sys.stdout.write(
-                f"\"{row['query']}\",{row['lean_tokens']},{row['baseline_tokens']},{ratio}\n"
-            )
+            writer.writerow([row["query"], row["lean_tokens"], row["baseline_tokens"], ratio])
     else:
         _emit({"rows": rows, "mean_ratio": mean_ratio, "num_queries": len(rows)})
     return EXIT_OK

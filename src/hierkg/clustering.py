@@ -56,6 +56,20 @@ def _kmeanspp_means(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
+def _log_prob(
+    X: np.ndarray, X2: np.ndarray, means: np.ndarray, variances: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """E-step: log N(x_i | mu_j, diag(var_j)) + log w_j for every point and component.
+
+    The squared distance is expanded as x^2/var - 2 x mu/var + mu^2/var so
+    that all components come from two (n, d) @ (d, m) products; X2 is X * X,
+    computed once per fit by the caller.
+    """
+    inv_var = 1.0 / variances
+    const = np.sum(means * means * inv_var + np.log(2.0 * np.pi * variances), axis=1)
+    return -0.5 * (X2 @ inv_var.T - 2.0 * (X @ (means * inv_var).T) + const) + np.log(weights)
+
+
 def _round_robin(ids_sorted: list[str], m: int, layer: int, params: dict) -> ClusterAssignment:
     clusters: list[set[str]] = [set() for _ in range(m)]
     for i, eid in enumerate(ids_sorted):
@@ -110,17 +124,11 @@ def fit_gmm(
     variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (m, 1))
     weights = np.full(m, 1.0 / m)
 
+    X2 = X * X
     log_likelihoods: list[float] = []
     resp = np.full((n, m), 1.0 / m)
     for _ in range(max_iters):
-        # E-step: log N(x | mu_j, diag(var_j)) + log w_j
-        log_prob = np.empty((n, m))
-        for j in range(m):
-            diff2 = (X - means[j]) ** 2
-            log_prob[:, j] = (
-                -0.5 * np.sum(diff2 / variances[j] + np.log(2.0 * np.pi * variances[j]), axis=1)
-                + np.log(weights[j])
-            )
+        log_prob = _log_prob(X, X2, means, variances, weights)
         row_max = log_prob.max(axis=1, keepdims=True)
         log_norm = row_max[:, 0] + np.log(np.exp(log_prob - row_max).sum(axis=1))
         ll = float(log_norm.sum())
@@ -135,7 +143,7 @@ def fit_gmm(
         nk = resp.sum(axis=0)
         nk = np.maximum(nk, 1e-12)
         means = (resp.T @ X) / nk[:, None]
-        second = (resp.T @ (X**2)) / nk[:, None]
+        second = (resp.T @ X2) / nk[:, None]
         variances = np.maximum(second - means**2, VARIANCE_FLOOR)
         weights = np.maximum(nk / n, 1e-12)
         weights = weights / weights.sum()

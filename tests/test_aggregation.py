@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hierkg.aggregation import (
+    _bucket_relations,
     build_hierarchy,
     connectivity_matrix,
     intra_cluster_relations,
@@ -105,6 +106,39 @@ class TestConnectivityMatrix:
         assert crossing_total + intra_total == len(relations)
 
 
+class TestBucketRelations:
+    # k >= 11 puts "agg:1:10" before "agg:1:2" in the evidence's pair order
+    @pytest.mark.parametrize("seed,k", [(0, 1), (1, 3), (2, 7), (3, 12), (4, 14), (5, 20)])
+    def test_matches_per_cluster_scans(self, seed, k):
+        rng = random.Random(seed)
+        entities, relations, _ = make_layer0(rng, rng.randint(10, 80), avg_degree=rng.choice([1, 3, 6]))
+        h = layer0_hierarchy(entities, relations)
+        layer = h.layers[0]
+        # random partition of a random subset of the entities
+        clusters = [set() for _ in range(k)]
+        for eid in sorted(entities):
+            if rng.random() < 0.9:
+                clusters[rng.randrange(k)].add(eid)
+        assignment = ClusterAssignment(layer=0, clusters=clusters)
+        aggregate_ids = [f"agg:1:{j}" for j in range(k)]
+
+        intra, evidence = _bucket_relations(h, layer, assignment, aggregate_ids)
+        assert intra == [intra_cluster_relations(h, layer, c) for c in clusters]
+        assert evidence == connectivity_matrix(h, layer, assignment, aggregate_ids)
+
+        # oracle: every relation whose endpoints sit in two different clusters
+        cluster_of = {eid: j for j, c in enumerate(clusters) for eid in c}
+        crossing = {}
+        for rid, r in relations.items():
+            ja, jb = cluster_of.get(r.source_id), cluster_of.get(r.target_id)
+            if ja is not None and jb is not None and ja != jb:
+                pair = tuple(sorted((aggregate_ids[ja], aggregate_ids[jb])))
+                crossing.setdefault(pair, []).append(rid)
+        assert [(ev.pair, ev.cross_relation_ids) for ev in evidence] == sorted(
+            (pair, sorted(rids)) for pair, rids in crossing.items()
+        )
+
+
 class TestBuildLayerBranches:
     def build_with_lambda(self, lam, tau=3, gen_provider=None, embed_provider=None):
         """Two natural clusters with exactly lam crossing relations."""
@@ -203,6 +237,21 @@ class TestBuildHierarchy:
             manifest = save_index(h, embeddings, chunks, tmp_path / f"run{run}")
             manifests.append(manifest)
         assert manifests[0].content_hash == manifests[1].content_hash
+
+    def test_inputs_not_mutated(self, embed_provider, gen_provider):
+        rng = random.Random(7)
+        entities, relations, _ = make_layer0(rng, 1100, avg_degree=2)
+        h1, _, _ = build_hierarchy(entities, relations, BuildParams(seed=0), embed_provider, gen_provider)
+        h2, _, _ = build_hierarchy(
+            entities, relations, BuildParams(seed=0, stop_when_entities_leq=1000), embed_provider, gen_provider
+        )
+        assert all(e.parent_id is None for e in entities.values())
+        assert validate_hierarchy(h1) == []
+        assert validate_hierarchy(h2) == []
+        assert len(h1.layers) > len(h2.layers) >= 2
+        # same seed, so the layers both builds have are clustered alike
+        shared = set().union(*(layer.entity_ids for layer in h2.layers[:-1]))
+        assert {eid: h1.parent_map[eid] for eid in shared} == h2.parent_map
 
     def test_empty_layer0_rejected(self, embed_provider, gen_provider):
         with pytest.raises(InvalidArgumentError):

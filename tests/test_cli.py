@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 
@@ -169,6 +171,25 @@ class TestBench:
         lines = out.strip().splitlines()
         assert lines[0] == "query,lean_tokens,baseline_tokens,ratio"
         assert len(lines) == 3
+
+    def test_csv_quotes_round_trip(self, built_index, tmp_path, capsys):
+        query = 'rotor "flux", torque'
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text(query + "\n")
+        code, payload = run_json(capsys, ["bench", "--index", str(built_index), "--queries", str(qfile)])
+        assert code == EXIT_OK
+        code = main(["bench", "--index", str(built_index), "--queries", str(qfile), "--format", "csv"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        header, row = list(csv.reader(io.StringIO(out)))
+        assert header == ["query", "lean_tokens", "baseline_tokens", "ratio"]
+        expected = payload["rows"][0]
+        assert row == [
+            query,
+            str(expected["lean_tokens"]),
+            str(expected["baseline_tokens"]),
+            f"{expected['ratio']:.6f}",
+        ]
 
     def test_missing_queries_file_is_data_error(self, built_index, tmp_path, capsys):
         code = main(["bench", "--index", str(built_index), "--queries", str(tmp_path / "none.txt")])

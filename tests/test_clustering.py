@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hierkg.clustering import (
+    VARIANCE_FLOOR,
     ClusterAssignment,
+    _log_prob,
     choose_num_components,
     fit_gmm,
     split_oversized,
@@ -28,6 +30,26 @@ def two_blobs(rng, n_per=20, dim=16, separation=20.0, spread=0.1):
             embeddings[eid] = center + rng.normal(0, spread, dim)
             labels[eid] = blob
     return embeddings, labels, centers
+
+
+def loop_log_prob(X, means, variances, weights):
+    """Reference E-step: one pass over the data per component."""
+    log_prob = np.empty((X.shape[0], means.shape[0]))
+    for j in range(means.shape[0]):
+        diff2 = (X - means[j]) ** 2
+        log_prob[:, j] = (
+            -0.5 * np.sum(diff2 / variances[j] + np.log(2.0 * np.pi * variances[j]), axis=1)
+            + np.log(weights[j])
+        )
+    return log_prob
+
+
+def with_constant_columns(rng, n, dim, scale):
+    """Random points with an eighth of the columns constant, so VARIANCE_FLOOR binds there."""
+    X = rng.normal(size=(n, dim)) * scale
+    const_cols = rng.choice(dim, size=max(1, dim // 8), replace=False)
+    X[:, const_cols] = rng.normal(size=len(const_cols)) * 3.0
+    return X
 
 
 class TestChooseNumComponents:
@@ -112,6 +134,48 @@ class TestFitGmm:
         assert [len(c) for c in assignment.clusters] == [3, 3, 3]
         # deterministic: id i goes to cluster i % 3 over lexicographically sorted ids
         assert assignment.clusters[0] == {"e00", "e03", "e06"}
+
+
+class TestEStep:
+    @pytest.mark.parametrize(
+        "seed,dim,m",
+        [(0, 4, 2), (1, 4, 13), (2, 16, 7), (3, 16, 50), (4, 64, 24), (5, 100, 3), (6, 256, 50), (7, 256, 31)],
+    )
+    def test_matches_per_component_loop(self, seed, dim, m):
+        rng = np.random.default_rng(seed)
+        n = 3 * m + 20
+        X = with_constant_columns(rng, n, dim, scale=[0.05, 1.0, 10.0][seed % 3])
+        # parameters as the M-step makes them, from random responsibilities
+        resp = rng.dirichlet(np.ones(m), size=n)
+        nk = resp.sum(axis=0)
+        means = (resp.T @ X) / nk[:, None]
+        variances = np.maximum((resp.T @ (X * X)) / nk[:, None] - means**2, VARIANCE_FLOOR)
+        weights = nk / n
+        assert (variances == VARIANCE_FLOOR).any()
+
+        fast = _log_prob(X, X * X, means, variances, weights)
+        ref = loop_log_prob(X, means, variances, weights)
+        # Both sum dim terms per entry, so each can be off by about dim * eps
+        # times the summed magnitudes; the expanded square's x^2/var and
+        # mu^2/var terms dominate that sum where the variance is floored.
+        magnitude = (
+            (X * X) @ (1.0 / variances).T
+            + np.sum(means**2 / variances + np.abs(np.log(2.0 * np.pi * variances)), axis=1)
+            + np.abs(np.log(weights))
+        )
+        tol = dim * np.finfo(np.float64).eps * magnitude
+        assert np.all(np.abs(fast - ref) <= tol)
+        assert np.array_equal(fast.argmax(axis=1), ref.argmax(axis=1))
+
+    @pytest.mark.parametrize("seed,dim,m", [(0, 4, 2), (1, 16, 9), (2, 64, 20), (3, 256, 50)])
+    def test_log_likelihood_non_decreasing_with_floored_variances(self, seed, dim, m):
+        rng = np.random.default_rng(seed)
+        X = with_constant_columns(rng, 4 * m + 20, dim, scale=1.0)
+        embeddings = {f"e{i:03d}": row for i, row in enumerate(X)}
+        lls = fit_gmm(embeddings, m, seed=seed).log_likelihoods
+        assert len(lls) >= 2
+        for prev, cur in zip(lls, lls[1:]):
+            assert cur >= prev - 1e-9 * max(1.0, abs(prev))
 
 
 class TestSplitOversized:
