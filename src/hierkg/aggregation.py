@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,20 +66,7 @@ def intra_cluster_relations(
     return out
 
 
-def connectivity_matrix(
-    h: Hierarchy,
-    layer: GraphLayer,
-    assignment: ClusterAssignment,
-    aggregate_ids: list[str],
-) -> list[InterClusterEvidence]:
-    """Crossing-relation evidence for every cluster pair with strength > 0.
-
-    aggregate_ids[j] is the aggregate generated for assignment.clusters[j].
-    """
-    return _bucket_relations(h, layer, assignment, aggregate_ids)[1]
-
-
-def _bucket_relations(
+def bucket_relations(
     h: Hierarchy,
     layer: GraphLayer,
     assignment: ClusterAssignment,
@@ -88,7 +75,9 @@ def _bucket_relations(
     """One sorted pass over the layer's relations, split by cluster label.
 
     Returns, per cluster j, the ids that intra_cluster_relations would give
-    for assignment.clusters[j], and the evidence of connectivity_matrix.
+    for assignment.clusters[j], and the crossing-relation evidence for
+    every cluster pair with strength > 0. aggregate_ids[j] is the
+    aggregate generated for assignment.clusters[j].
     """
     label_of = assignment.labels()
     intra: list[list[str]] = [[] for _ in assignment.clusters]
@@ -158,7 +147,7 @@ def build_layer(
     aggregate_ids = [f"agg:{new_index}:{ordinal}" for ordinal in range(len(clusters))]
     # canonicalize the assignment to the ordering used for id generation
     ordered_assignment = ClusterAssignment(layer=lower.index, clusters=[set(c) for c in clusters])
-    intra, evidence = _bucket_relations(h, lower, ordered_assignment, aggregate_ids)
+    intra, evidence = bucket_relations(h, lower, ordered_assignment, aggregate_ids)
 
     def _gen_entity(task: tuple[list[str], list[str]]):
         members, intra_ids = task
@@ -179,7 +168,6 @@ def build_layer(
         )
         new_layer.entity_ids.add(agg_id)
         for eid in members:
-            h.entities[eid].parent_id = agg_id
             h.parent_map[eid] = agg_id
 
     tau = params.tau_for_layer(new_index)
@@ -236,16 +224,15 @@ def build_hierarchy(
     """Build the full hierarchy from a validated layer-0 graph.
 
     Returns the hierarchy, the id->vector embedding table (layer 0 plus
-    all aggregates), and a build report for operator output.
+    all aggregates), and a build report for operator output. h.entities
+    shares the caller's Entity objects; the build never writes to them,
+    since parent links live only in h.parent_map.
     """
     if not entities:
         raise InvalidArgumentError("layer 0 is empty")
     layer0 = GraphLayer(index=0, entity_ids=set(entities), relation_ids=set(relations))
-    # copies: parent_id is set on h.entities, never on the caller's objects
     h = Hierarchy(
-        entities={
-            eid: replace(e, source_chunk_ids=list(e.source_chunk_ids)) for eid, e in entities.items()
-        },
+        entities=dict(entities),
         relations=dict(relations),
         layers=[layer0],
         parent_map={},

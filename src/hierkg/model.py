@@ -27,7 +27,6 @@ class Entity:
     name: str
     description: str
     layer: int = 0
-    parent_id: str | None = None
     source_chunk_ids: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -36,7 +35,6 @@ class Entity:
             "name": self.name,
             "description": self.description,
             "layer": self.layer,
-            "parent_id": self.parent_id,
             "source_chunk_ids": list(self.source_chunk_ids),
         }
 
@@ -47,7 +45,6 @@ class Entity:
             name=d["name"],
             description=d["description"],
             layer=d["layer"],
-            parent_id=d.get("parent_id"),
             source_chunk_ids=list(d.get("source_chunk_ids", [])),
         )
 
@@ -171,8 +168,8 @@ class Hierarchy:
     """Immutable-after-build stack of graph layers.
 
     entities/relations are global id maps; each layer lists the ids that
-    live at that level. parent_map mirrors Entity.parent_id for fast
-    ancestor walks.
+    live at that level. parent_map (child id -> parent id) is the only
+    record of parent links; top-layer entities have no entry.
     """
 
     entities: dict[str, Entity] = field(default_factory=dict)
@@ -242,16 +239,16 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
             violations.append(f"entity {eid}: aggregate carries source chunks")
         if eid not in h.layers[e.layer].entity_ids:
             violations.append(f"entity {eid}: missing from layer {e.layer} listing")
-        if e.parent_id is not None:
-            parent = h.entities.get(e.parent_id)
-            if parent is None:
-                violations.append(f"entity {eid}: parent {e.parent_id} does not exist")
-            elif parent.layer != e.layer + 1:
-                violations.append(
-                    f"entity {eid}: parent {e.parent_id} at layer {parent.layer}, expected {e.layer + 1}"
-                )
-        if h.parent_map.get(eid) != e.parent_id:
-            violations.append(f"entity {eid}: parent_map disagrees with parent_id")
+
+    for eid, pid in h.parent_map.items():
+        e = h.entities.get(eid)
+        parent = h.entities.get(pid)
+        if e is None:
+            violations.append(f"parent link {eid} -> {pid}: child does not exist")
+        elif parent is None:
+            violations.append(f"entity {eid}: parent {pid} does not exist")
+        elif parent.layer != e.layer + 1:
+            violations.append(f"entity {eid}: parent {pid} at layer {parent.layer}, expected {e.layer + 1}")
 
     for rid, r in h.relations.items():
         if r.source_id == r.target_id:
@@ -290,14 +287,10 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
     # parent links must form a forest (no cycles) and, per layer pair,
     # cover every non-top entity exactly once
     for eid in h.entities:
-        slow = eid
-        seen = set()
-        while slow in h.parent_map:
-            if slow in seen:
-                violations.append(f"entity {eid}: parent chain contains a cycle at {slow}")
-                break
-            seen.add(slow)
-            slow = h.parent_map[slow]
+        try:
+            h.ancestors(eid)
+        except InvalidArgumentError as exc:
+            violations.append(f"entity {eid}: {exc}")
 
     for i in range(len(h.layers) - 1):
         lower = h.layers[i].entity_ids

@@ -51,14 +51,11 @@ class ProviderConfig:
     max_retries: int = 2
     backoff_seconds: float = 0.5
     timeout_seconds: float = 30.0
-    max_concurrency: int = 4
     token_budget: int = 2000
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise InvalidArgumentError("max_retries must be >= 0")
-        if self.max_concurrency < 1:
-            raise InvalidArgumentError("max_concurrency must be >= 1")
 
 
 @dataclass
@@ -332,6 +329,5 @@ def _provider_config(config: dict) -> ProviderConfig:
         max_retries=config.get("max_retries", 2),
         backoff_seconds=config.get("backoff_seconds", 0.5),
         timeout_seconds=config.get("timeout_seconds", 30.0),
-        max_concurrency=config.get("max_concurrency", 4),
         token_budget=config.get("token_budget", 2000),
     )

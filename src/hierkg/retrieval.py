@@ -156,7 +156,6 @@ def assemble_subgraph(
     h: Hierarchy,
     paths: list[list[str]],
     lca_nodes: list[tuple[list[str], str]],
-    include_seed_relations: bool = True,
 ) -> RetrievedSubgraph:
     """Collect the retrieved node set and its relations.
 
@@ -175,11 +174,7 @@ def assemble_subgraph(
     for rid in sorted(h.relations):
         r = h.relations[rid]
         if r.layer == 0:
-            if (
-                include_seed_relations
-                and r.source_id in layer0_nodes
-                and r.target_id in layer0_nodes
-            ):
+            if r.source_id in layer0_nodes and r.target_id in layer0_nodes:
                 path_relations.append(rid)
         else:
             if r.source_id in node_ids and r.target_id in node_ids:
@@ -199,12 +194,11 @@ def retrieve(
     query: str,
     n: int,
     embed_provider,
-    include_seed_relations: bool = True,
 ) -> tuple[SeedSet, RetrievedSubgraph]:
     """Full structured retrieval: anchor, climb, assemble."""
     seeds = anchor_seeds(h, embeddings, query, n, embed_provider)
     paths, lca_nodes = lca_paths(h, seeds)
-    sub = assemble_subgraph(h, paths, lca_nodes, include_seed_relations=include_seed_relations)
+    sub = assemble_subgraph(h, paths, lca_nodes)
     return seeds, sub
 
 

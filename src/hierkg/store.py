@@ -4,8 +4,9 @@ Ingest reads line-delimited JSON records (entity / relation / chunk,
 discriminated by a "type" tag) and produces a validated layer-0 graph.
 A built index is saved as a directory: a manifest, one JSONL file per
 layer for entities and relations, a chunk file, and a little-endian
-binary embedding shard. Loads verify the manifest's content hash and
-fail closed on any mismatch.
+binary embedding shard. Each entity row carries its parent_id from
+Hierarchy.parent_map (null on the top layer). Loads verify the
+manifest's content hash and fail closed on any mismatch.
 """
 
 from __future__ import annotations
@@ -249,7 +250,10 @@ def save_index(
     for layer in h.layers:
         ename = f"entities_{layer.index}.jsonl"
         rname = f"relations_{layer.index}.jsonl"
-        _dump_jsonl(directory / ename, [h.entities[eid].to_dict() for eid in sorted(layer.entity_ids)])
+        rows = [
+            {**h.entities[eid].to_dict(), "parent_id": h.parent_map.get(eid)} for eid in sorted(layer.entity_ids)
+        ]
+        _dump_jsonl(directory / ename, rows)
         _dump_jsonl(directory / rname, [h.relations[rid].to_dict() for rid in sorted(layer.relation_ids)])
         names.extend([ename, rname])
     _dump_jsonl(directory / "chunks.jsonl", [chunks[cid].to_dict() for cid in sorted(chunks)])
@@ -310,8 +314,8 @@ def load_index(
             e = Entity.from_dict(row)
             h.entities[e.id] = e
             layer.entity_ids.add(e.id)
-            if e.parent_id is not None:
-                h.parent_map[e.id] = e.parent_id
+            if row.get("parent_id") is not None:
+                h.parent_map[e.id] = row["parent_id"]
         for row in _load_jsonl(directory / f"relations_{stat['index']}.jsonl"):
             r = Relation.from_dict(row)
             h.relations[r.id] = r

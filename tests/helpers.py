@@ -112,11 +112,9 @@ def make_random_hierarchy(rng: random.Random, n_leaves: int, max_layers: int = 4
         # each parent gets at least one child, the rest land randomly
         for aid, child in zip(upper, shuffled):
             h.parent_map[child] = aid
-            h.entities[child].parent_id = aid
         for child in shuffled[n_upper:]:
             aid = rng.choice(upper)
             h.parent_map[child] = aid
-            h.entities[child].parent_id = aid
         layer_ids.append(upper)
     for index, ids in enumerate(layer_ids):
         h.layers.append(GraphLayer(index=index, entity_ids=set(ids)))

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from hierkg.aggregation import (
-    _bucket_relations,
+    bucket_relations,
     build_hierarchy,
-    connectivity_matrix,
     intra_cluster_relations,
 )
 from hierkg.clustering import ClusterAssignment
@@ -72,7 +71,7 @@ class TestConnectivityMatrix:
         entities, relations = simple_graph([("e0", "e1"), ("e2", "e3")], n=4)
         h = layer0_hierarchy(entities, relations)
         assignment = ClusterAssignment(layer=0, clusters=[{"e0", "e1"}, {"e2", "e3"}])
-        assert connectivity_matrix(h, h.layers[0], assignment, ["a", "b"]) == []
+        assert bucket_relations(h, h.layers[0], assignment, ["a", "b"])[1] == []
 
     def test_bipartite_k22(self):
         entities, relations = simple_graph(
@@ -80,7 +79,7 @@ class TestConnectivityMatrix:
         )
         h = layer0_hierarchy(entities, relations)
         assignment = ClusterAssignment(layer=0, clusters=[{"e0", "e1"}, {"e2", "e3"}])
-        evidence = connectivity_matrix(h, h.layers[0], assignment, ["a", "b"])
+        evidence = bucket_relations(h, h.layers[0], assignment, ["a", "b"])[1]
         assert len(evidence) == 1
         assert evidence[0].strength == 4
         # oracle: double loop over all edges
@@ -98,7 +97,7 @@ class TestConnectivityMatrix:
         ids = sorted(entities)
         clusters = [set(ids[i::4]) for i in range(4)]
         assignment = ClusterAssignment(layer=0, clusters=clusters)
-        evidence = connectivity_matrix(h, h.layers[0], assignment, ["a0", "a1", "a2", "a3"])
+        evidence = bucket_relations(h, h.layers[0], assignment, ["a0", "a1", "a2", "a3"])[1]
         crossing_total = sum(ev.strength for ev in evidence)
         intra_total = sum(
             len(intra_cluster_relations(h, h.layers[0], cluster)) for cluster in clusters
@@ -122,9 +121,8 @@ class TestBucketRelations:
         assignment = ClusterAssignment(layer=0, clusters=clusters)
         aggregate_ids = [f"agg:1:{j}" for j in range(k)]
 
-        intra, evidence = _bucket_relations(h, layer, assignment, aggregate_ids)
+        intra, evidence = bucket_relations(h, layer, assignment, aggregate_ids)
         assert intra == [intra_cluster_relations(h, layer, c) for c in clusters]
-        assert evidence == connectivity_matrix(h, layer, assignment, aggregate_ids)
 
         # oracle: every relation whose endpoints sit in two different clusters
         cluster_of = {eid: j for j, c in enumerate(clusters) for eid in c}
@@ -241,11 +239,12 @@ class TestBuildHierarchy:
     def test_inputs_not_mutated(self, embed_provider, gen_provider):
         rng = random.Random(7)
         entities, relations, _ = make_layer0(rng, 1100, avg_degree=2)
+        before = {eid: e.to_dict() for eid, e in entities.items()}
         h1, _, _ = build_hierarchy(entities, relations, BuildParams(seed=0), embed_provider, gen_provider)
         h2, _, _ = build_hierarchy(
             entities, relations, BuildParams(seed=0, stop_when_entities_leq=1000), embed_provider, gen_provider
         )
-        assert all(e.parent_id is None for e in entities.values())
+        assert {eid: e.to_dict() for eid, e in entities.items()} == before
         assert validate_hierarchy(h1) == []
         assert validate_hierarchy(h2) == []
         assert len(h1.layers) > len(h2.layers) >= 2

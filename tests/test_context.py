@@ -21,8 +21,7 @@ def small_world():
     for i in range(4):
         eid = f"e{i}"
         h.entities[eid] = Entity(
-            id=eid, name=f"N{i}", description=f"desc {i}", layer=0,
-            parent_id="agg:1:0", source_chunk_ids=refs[eid],
+            id=eid, name=f"N{i}", description=f"desc {i}", layer=0, source_chunk_ids=refs[eid],
         )
         h.parent_map[eid] = "agg:1:0"
     h.entities["agg:1:0"] = Entity(id="agg:1:0", name="Group", description="group desc", layer=1)

@@ -24,8 +24,8 @@ def minimal_hierarchy() -> Hierarchy:
 
 def three_layer_chain() -> Hierarchy:
     h = Hierarchy()
-    h.entities["e0"] = Entity(id="e0", name="E0", description="leaf", layer=0, parent_id="a1", source_chunk_ids=["c0"])
-    h.entities["a1"] = Entity(id="a1", name="A1", description="mid", layer=1, parent_id="a2")
+    h.entities["e0"] = Entity(id="e0", name="E0", description="leaf", layer=0, source_chunk_ids=["c0"])
+    h.entities["a1"] = Entity(id="a1", name="A1", description="mid", layer=1)
     h.entities["a2"] = Entity(id="a2", name="A2", description="top", layer=2)
     h.parent_map = {"e0": "a1", "a1": "a2"}
     h.layers = [
@@ -49,7 +49,6 @@ class TestValidateHierarchy:
     def test_parent_cycle_detected(self):
         h = three_layer_chain()
         h.parent_map["a2"] = "a1"
-        h.entities["a2"].parent_id = "a1"
         violations = validate_hierarchy(h)
         assert any("cycle" in v for v in violations)
 
@@ -57,7 +56,6 @@ class TestValidateHierarchy:
         # oracle: DFS over parent_map finds a back edge iff validate reports a cycle
         h = three_layer_chain()
         h.parent_map["a2"] = "a1"
-        h.entities["a2"].parent_id = "a1"
 
         def has_cycle(parent_map):
             for start in parent_map:
@@ -75,10 +73,16 @@ class TestValidateHierarchy:
 
     def test_wrong_parent_layer(self):
         h = three_layer_chain()
-        h.entities["e0"].parent_id = "a2"
         h.parent_map["e0"] = "a2"
         violations = validate_hierarchy(h)
         assert any("e0" in v and "layer" in v for v in violations)
+
+    @pytest.mark.parametrize("child, parent", [("e0", "ghost"), ("ghost", "a1")])
+    def test_parent_link_to_unknown_entity(self, child, parent):
+        h = three_layer_chain()
+        h.parent_map[child] = parent
+        violations = validate_hierarchy(h)
+        assert any("ghost" in v and "does not exist" in v for v in violations)
 
     def test_random_hierarchies_are_valid(self):
         for seed in range(10):

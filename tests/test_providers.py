@@ -206,5 +206,3 @@ class TestHttpProviders:
 def test_provider_config_validation():
     with pytest.raises(InvalidArgumentError):
         ProviderConfig(max_retries=-1)
-    with pytest.raises(InvalidArgumentError):
-        ProviderConfig(max_concurrency=0)

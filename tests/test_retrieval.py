@@ -181,8 +181,7 @@ class TestAssembleSubgraph:
         h = Hierarchy()
         for i in range(4):
             h.entities[f"e{i}"] = Entity(
-                id=f"e{i}", name=f"E{i}", description=f"d{i}", layer=0,
-                parent_id=f"agg:1:{i // 2}", source_chunk_ids=["c0"],
+                id=f"e{i}", name=f"E{i}", description=f"d{i}", layer=0, source_chunk_ids=["c0"],
             )
             h.parent_map[f"e{i}"] = f"agg:1:{i // 2}"
         for j in range(2):
@@ -216,13 +215,6 @@ class TestAssembleSubgraph:
         sub = assemble_subgraph(h, paths, lca_nodes)
         assert sub.path_relations == ["r0"]
         assert "r1" not in sub.path_relations
-
-    def test_seed_relations_flag_disables_layer0_edges(self):
-        h = self.build_two_group_hierarchy()
-        seeds = SeedSet(query="q", entries=[("e0", 1.0), ("e1", 0.9)], n=2)
-        paths, lca_nodes = lca_paths(h, seeds)
-        sub = assemble_subgraph(h, paths, lca_nodes, include_seed_relations=False)
-        assert sub.path_relations == []
 
     def test_single_seed_no_inter_cluster(self):
         h = self.build_two_group_hierarchy()

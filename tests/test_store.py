@@ -156,6 +156,21 @@ class TestIndexRoundTrip:
         for eid, e in h.entities.items():
             assert h2.entities[eid].to_dict() == e.to_dict()
 
+    def test_entity_rows_carry_parent_id(self, tmp_path):
+        # the on-disk format keeps one parent_id per entity row
+        h, _, _, directory, _ = build_small_index(tmp_path)
+        top = len(h.layers) - 1
+        assert top >= 1
+        for layer in h.layers:
+            lines = (directory / f"entities_{layer.index}.jsonl").read_text(encoding="utf-8").splitlines()
+            rows = [json.loads(line) for line in lines]
+            assert [row["id"] for row in rows] == sorted(layer.entity_ids)
+            for row in rows:
+                assert sorted(row) == ["description", "id", "layer", "name", "parent_id", "source_chunk_ids"]
+                assert row["parent_id"] == h.parent_map.get(row["id"])
+                assert (row["parent_id"] is None) == (layer.index == top)
+        assert load_index(directory)[0].parent_map == h.parent_map
+
     def test_embeddings_bit_exact(self, tmp_path):
         h, embeddings, _, directory, _ = build_small_index(tmp_path)
         _, emb2, _, _ = load_index(directory)
