@@ -42,9 +42,16 @@ def choose_num_components(n_entities: int, cluster_size: int) -> int:
 def _kmeanspp_means(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     means = np.empty((m, X.shape[1]))
+    diff = np.empty_like(X)  # one (n, d) scratch buffer for every component
+
+    def sq_dist(mean: np.ndarray) -> np.ndarray:
+        np.subtract(X, mean, out=diff)
+        np.square(diff, out=diff)
+        return diff.sum(axis=1)
+
     first = int(rng.integers(n))
     means[0] = X[first]
-    dist2 = np.sum((X - means[0]) ** 2, axis=1)
+    dist2 = sq_dist(means[0])
     for j in range(1, m):
         total = dist2.sum()
         if total <= 0.0:
@@ -52,7 +59,7 @@ def _kmeanspp_means(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=dist2 / total))
         means[j] = X[idx]
-        dist2 = np.minimum(dist2, np.sum((X - means[j]) ** 2, axis=1))
+        np.minimum(dist2, sq_dist(means[j]), out=dist2)
     return means
 
 

@@ -8,8 +8,10 @@ form a forest (each entity has at most one parent, one layer up).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import InvalidArgumentError, NotFoundError
 
@@ -170,6 +172,11 @@ class Hierarchy:
     entities/relations are global id maps; each layer lists the ids that
     live at that level. parent_map (child id -> parent id) is the only
     record of parent links; top-layer entities have no entry.
+
+    layer0_ids and relations_by_entity are query-time views computed on
+    first access and then frozen: do not mutate a hierarchy after it has
+    been queried, or later queries read the stale views. Build, store and
+    validation never touch them.
     """
 
     entities: dict[str, Entity] = field(default_factory=dict)
@@ -189,6 +196,21 @@ class Hierarchy:
             return self.relations[relation_id]
         except KeyError:
             raise NotFoundError(f"unknown relation id: {relation_id}") from None
+
+    @cached_property
+    def layer0_ids(self) -> list[str]:
+        """Layer-0 entity ids in sorted order."""
+        return sorted(self.layers[0].entity_ids)
+
+    @cached_property
+    def relations_by_entity(self) -> dict[str, list[str]]:
+        """Entity id -> ids of the stored relations with that entity as an endpoint."""
+        index: defaultdict[str, list[str]] = defaultdict(list)
+        for rid, r in self.relations.items():
+            index[r.source_id].append(rid)
+            if r.target_id != r.source_id:
+                index[r.target_id].append(rid)
+        return dict(index)
 
     def layer(self, index: int) -> GraphLayer:
         if index < 0 or index >= len(self.layers):

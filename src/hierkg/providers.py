@@ -14,7 +14,7 @@ import re
 import time
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -323,11 +323,20 @@ def make_generation_provider(config: dict) -> object:
 
 
 def _provider_config(config: dict) -> ProviderConfig:
-    return ProviderConfig(
-        endpoint=config.get("endpoint", ""),
-        model=config.get("model", ""),
-        max_retries=config.get("max_retries", 2),
-        backoff_seconds=config.get("backoff_seconds", 0.5),
-        timeout_seconds=config.get("timeout_seconds", 30.0),
-        token_budget=config.get("token_budget", 2000),
-    )
+    """The ProviderConfig of an http provider's JSON block.
+
+    Keys other than "provider" and the ProviderConfig fields, and a missing
+    or empty endpoint, are usage errors: such a config could only fail
+    later, after every retry.
+    """
+    settings = {k: v for k, v in config.items() if k != "provider"}
+    known = {f.name for f in fields(ProviderConfig)}
+    unknown = sorted(set(settings) - known)
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown http provider keys {unknown}; expected provider, {', '.join(sorted(known))}"
+        )
+    endpoint = settings.get("endpoint")
+    if not isinstance(endpoint, str) or not endpoint.strip():
+        raise InvalidArgumentError("http provider needs a non-empty endpoint")
+    return ProviderConfig(**settings)

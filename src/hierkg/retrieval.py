@@ -11,7 +11,6 @@ redundancy baseline.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,10 +84,15 @@ def anchor_seeds(
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     qvec = embed_provider.embed_batch([query])[0]
-    ids0 = sorted(h.layers[0].entity_ids)
+    ids0 = h.layer0_ids
     matrix = np.stack([embeddings[eid] for eid in ids0])
     scores = matrix @ qvec  # all vectors unit-length, so dot == cosine
-    order = sorted(range(len(ids0)), key=lambda i: (-scores[i], ids0[i]))[:n]
+    candidates = range(len(ids0))
+    if n < len(ids0):
+        # everything scoring at least the n-th largest, so ties at the cut survive
+        nth = np.partition(scores, len(ids0) - n)[len(ids0) - n]
+        candidates = np.flatnonzero(scores >= nth).tolist()
+    order = sorted(candidates, key=lambda i: (-scores[i], ids0[i]))[:n]
     entries = [(ids0[i], float(scores[i])) for i in order]
     return SeedSet(query=query, entries=entries, n=n)
 
@@ -169,9 +173,10 @@ def assemble_subgraph(
         node_ids.update(chain)
 
     layer0_nodes = {eid for eid in node_ids if h.entities[eid].layer == 0}
+    touching = {rid for eid in node_ids for rid in h.relations_by_entity.get(eid, ())}
     path_relations: list[str] = []
     inter_cluster: list[str] = []
-    for rid in sorted(h.relations):
+    for rid in sorted(touching):
         r = h.relations[rid]
         if r.layer == 0:
             if r.source_id in layer0_nodes and r.target_id in layer0_nodes:
@@ -202,18 +207,45 @@ def retrieve(
     return seeds, sub
 
 
-def _bfs_distances(adjacency: dict[str, set[str]], start: str, max_hops: int) -> dict[str, int]:
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        node = frontier.popleft()
-        if dist[node] >= max_hops:
-            continue
-        for nxt in adjacency.get(node, ()):
-            if nxt not in dist:
-                dist[nxt] = dist[node] + 1
-                frontier.append(nxt)
-    return dist
+def _bfs_layers(edges_of, start: str, depth: int) -> list[set[str]]:
+    """Nodes by hop distance from start, up to depth: layers[k] holds those exactly k hops away."""
+    layers = [{start}]
+    seen = {start}
+    while len(layers) <= depth:
+        frontier = {v for node in layers[-1] for v, _ in edges_of(node)} - seen
+        if not frontier:
+            break
+        layers.append(frontier)
+        seen |= frontier
+    return layers
+
+
+def _shortest_path_layers(
+    edges_of, ball_a: list[set[str]], ball_b: list[set[str]], max_hops: int
+) -> list[set[str]] | None:
+    """Nodes on the shortest a-b paths of length <= max_hops, by distance from a.
+
+    ball_a and ball_b are BFS layers of radius ceil(max_hops / 2), so every
+    such path has its midpoint in both; the two halves are walked out from
+    the midpoint one hop at a time. None when no such path exists.
+    """
+
+    def shell(ball, k):
+        return ball[k] if k < len(ball) else set()
+
+    d = next(
+        (t for t in range(max_hops + 1) if shell(ball_a, (t + 1) // 2) & shell(ball_b, t // 2)), None
+    )
+    if d is None:
+        return None
+    mid = (d + 1) // 2
+    path = {mid: shell(ball_a, mid) & shell(ball_b, d - mid)}
+    # a neighbour of path[k - 1] at distance d - k from b is at distance k from a
+    for k in range(mid + 1, d + 1):
+        path[k] = shell(ball_b, d - k) & {v for u in path[k - 1] for v, _ in edges_of(u)}
+    for k in range(mid - 1, -1, -1):
+        path[k] = shell(ball_a, k) & {v for u in path[k + 1] for v, _ in edges_of(u)}
+    return [path[k] for k in range(d + 1)]
 
 
 def flat_path_retrieve(
@@ -226,34 +258,36 @@ def flat_path_retrieve(
     """
     if max_hops < 1:
         raise InvalidArgumentError("max_hops must be >= 1")
-    layer0 = h.layers[0]
-    adjacency: dict[str, set[str]] = {}
-    edge_relations: dict[tuple[str, str], list[str]] = {}
-    for rid in sorted(layer0.relation_ids):
-        r = h.relations[rid]
-        adjacency.setdefault(r.source_id, set()).add(r.target_id)
-        adjacency.setdefault(r.target_id, set()).add(r.source_id)
-        key = tuple(sorted((r.source_id, r.target_id)))
-        edge_relations.setdefault(key, []).append(rid)
+    layer0_relations = h.layers[0].relation_ids
+    edges: dict[str, list[tuple[str, str]]] = {}
+
+    def edges_of(node: str) -> list[tuple[str, str]]:
+        """(neighbour, relation id) for each layer-0 relation of node, looked up on first use."""
+        if node not in edges:
+            out = []
+            for rid in h.relations_by_entity.get(node, ()):
+                if rid in layer0_relations:
+                    r = h.relations[rid]
+                    out.append((r.target_id if r.source_id == node else r.source_id, rid))
+            edges[node] = out
+        return edges[node]
 
     seed_ids = seeds.entity_ids
+    radius = (max_hops + 1) // 2
+    balls = {eid: _bfs_layers(edges_of, eid, radius) for eid in seed_ids}
     node_ids: set[str] = set(seed_ids)
     relation_ids: set[str] = set()
-    for i in range(len(seed_ids)):
-        dist_a = _bfs_distances(adjacency, seed_ids[i], max_hops)
-        for j in range(i + 1, len(seed_ids)):
-            b = seed_ids[j]
-            if b not in dist_a:
+    for i, a in enumerate(seed_ids):
+        for b in seed_ids[i + 1 :]:
+            path = _shortest_path_layers(edges_of, balls[a], balls[b], max_hops)
+            if path is None:
                 continue
-            d = dist_a[b]
-            dist_b = _bfs_distances(adjacency, b, max_hops)
-            on_path = {v for v, da in dist_a.items() if v in dist_b and da + dist_b[v] == d}
-            node_ids.update(on_path)
-            for (u, v), rids in edge_relations.items():
-                if u in on_path and v in on_path:
-                    du, dv = dist_a[u], dist_a[v]
-                    if abs(du - dv) == 1 and du + dist_b[u] == d and dv + dist_b[v] == d:
-                        relation_ids.update(rids)
+            node_ids.update(*path)
+            # a relation lies on a shortest path when it joins consecutive layers of it
+            for k in range(len(path) - 1):
+                relation_ids.update(
+                    rid for u in path[k] for v, rid in edges_of(u) if v in path[k + 1]
+                )
     return RetrievedSubgraph(
         node_ids=node_ids,
         path_relations=sorted(relation_ids),

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hierkg import providers
 from hierkg.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hierkg.providers import count_tokens
 
@@ -132,6 +133,25 @@ class TestQuery:
         code = main(["query", "--index", str(built_index), "--query", "   "])
         capsys.readouterr()
         assert code == EXIT_USAGE
+
+    def test_base_url_provider_config_is_usage_error_without_post(self, built_index, tmp_path, capsys, monkeypatch):
+        posts = []
+
+        def post(url, payload, timeout):
+            posts.append(url)
+            raise ConnectionError("no server")
+
+        monkeypatch.setattr(providers, "_default_post", post)
+        config = tmp_path / "providers.json"
+        config.write_text(json.dumps({
+            "embedding": {"provider": "http", "base_url": "http://127.0.0.1:9/embed", "model": "m", "api_key": "k"},
+        }))
+        code = main([
+            "query", "--index", str(built_index), "--query", "meadow nebula", "--providers", str(config),
+        ])
+        capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert posts == []
 
 
 class TestBench:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from hierkg.providers import (
     MockGenerationProvider,
     ProviderConfig,
     count_tokens,
+    make_embedding_provider,
+    make_generation_provider,
     parse_aggregate_entity_response,
     parse_relation_summary_response,
 )
@@ -206,3 +210,40 @@ class TestHttpProviders:
 def test_provider_config_validation():
     with pytest.raises(InvalidArgumentError):
         ProviderConfig(max_retries=-1)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"provider": "http", "base_url": "http://test/api", "model": "m"},
+        {"provider": "http", "endpoint": "http://test/api", "model": "m", "api_key": "k"},
+        {"provider": "http", "endpoint": "", "model": "m"},
+        {"provider": "http", "endpoint": "   "},
+        {"provider": "http", "model": "m"},
+    ],
+)
+def test_http_config_rejects_unknown_keys_and_empty_endpoint(config):
+    for make in (make_embedding_provider, make_generation_provider):
+        with pytest.raises(InvalidArgumentError):
+            make(config)
+
+
+def test_http_config_reads_every_documented_key():
+    config = {
+        "provider": "http", "endpoint": "http://test/api", "model": "m", "max_retries": 0,
+        "backoff_seconds": 0.1, "timeout_seconds": 5.0, "token_budget": 100,
+    }
+    expected = ProviderConfig(
+        endpoint="http://test/api", model="m", max_retries=0, backoff_seconds=0.1,
+        timeout_seconds=5.0, token_budget=100,
+    )
+    assert make_embedding_provider(config).config == expected
+    assert make_generation_provider(config).config == expected
+
+
+def test_readme_provider_config_is_accepted():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in re.findall(r"```json\n(.*?)```", readme, re.S) if '"embedding"' in b)
+    config = json.loads(block)
+    assert isinstance(make_embedding_provider(config["embedding"]), HttpEmbeddingProvider)
+    assert isinstance(make_generation_provider(config["generation"]), HttpGenerationProvider)

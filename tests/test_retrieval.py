@@ -1,11 +1,15 @@
+import gc
 import itertools
 import random
+import weakref
+from collections import deque
 
 import numpy as np
 import pytest
 
+from hierkg.aggregation import build_hierarchy
 from hierkg.errors import InvalidArgumentError, NotFoundError
-from hierkg.model import Entity, GraphLayer, Hierarchy, Relation, RelationKind
+from hierkg.model import BuildParams, Entity, GraphLayer, Hierarchy, Relation, RelationKind
 from hierkg.retrieval import (
     anchor_seeds,
     assemble_subgraph,
@@ -15,8 +19,9 @@ from hierkg.retrieval import (
     retrieve,
     SeedSet,
 )
+from hierkg.store import load_index, save_index
 
-from helpers import make_layer0, make_random_hierarchy
+from helpers import description, make_layer0, make_random_hierarchy
 
 
 def hierarchy_with_embeddings(rng, n_leaves, embed_provider):
@@ -360,3 +365,172 @@ def test_retrieve_end_to_end(embed_provider):
         layers = [h.entities[eid].layer for eid in chain]
         assert layers == sorted(layers)
         assert len(set(layers)) == len(layers)
+
+
+# Reference implementations: the full scans these functions used before the
+# query path read Hierarchy.layer0_ids and Hierarchy.relations_by_entity.
+
+
+def scan_anchor_seeds(h, embeddings, query, n, embed_provider):
+    qvec = embed_provider.embed_batch([query])[0]
+    ids0 = sorted(h.layers[0].entity_ids)
+    matrix = np.stack([embeddings[eid] for eid in ids0])
+    scores = matrix @ qvec
+    order = sorted(range(len(ids0)), key=lambda i: (-scores[i], ids0[i]))[:n]
+    return [(ids0[i], float(scores[i])) for i in order]
+
+
+def scan_assemble_subgraph(h, paths):
+    node_ids = {eid for chain in paths for eid in chain}
+    layer0_nodes = {eid for eid in node_ids if h.entities[eid].layer == 0}
+    path_relations, inter_cluster = [], []
+    for rid in sorted(h.relations):
+        r = h.relations[rid]
+        if r.layer == 0:
+            if r.source_id in layer0_nodes and r.target_id in layer0_nodes:
+                path_relations.append(rid)
+        elif r.source_id in node_ids and r.target_id in node_ids:
+            inter_cluster.append(rid)
+    return node_ids, path_relations, inter_cluster
+
+
+def scan_bfs_distances(adjacency, start, max_hops):
+    dist = {start: 0}
+    frontier = deque([start])
+    while frontier:
+        node = frontier.popleft()
+        if dist[node] >= max_hops:
+            continue
+        for nxt in adjacency.get(node, ()):
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                frontier.append(nxt)
+    return dist
+
+
+def scan_flat_path_retrieve(h, seed_ids, max_hops):
+    """Full BFS from both seeds of every pair and a scan of every layer-0 edge per pair."""
+    adjacency, edge_relations = {}, {}
+    for rid in sorted(h.layers[0].relation_ids):
+        r = h.relations[rid]
+        adjacency.setdefault(r.source_id, set()).add(r.target_id)
+        adjacency.setdefault(r.target_id, set()).add(r.source_id)
+        edge_relations.setdefault(tuple(sorted((r.source_id, r.target_id))), []).append(rid)
+    node_ids, relation_ids = set(seed_ids), set()
+    for i in range(len(seed_ids)):
+        dist_a = scan_bfs_distances(adjacency, seed_ids[i], max_hops)
+        for b in seed_ids[i + 1 :]:
+            if b not in dist_a:
+                continue
+            d = dist_a[b]
+            dist_b = scan_bfs_distances(adjacency, b, max_hops)
+            on_path = {v for v, da in dist_a.items() if v in dist_b and da + dist_b[v] == d}
+            node_ids.update(on_path)
+            for (u, v), rids in edge_relations.items():
+                if u in on_path and v in on_path:
+                    du, dv = dist_a[u], dist_a[v]
+                    if abs(du - dv) == 1 and du + dist_b[u] == d and dv + dist_b[v] == d:
+                        relation_ids.update(rids)
+    return node_ids, sorted(relation_ids)
+
+
+def hierarchy_with_relations(rng, n_leaves, avg_degree, embed_provider):
+    """Random hierarchy plus random layer-0 relations (parallel ones included)
+    and same-layer relations between aggregates."""
+    h, embeddings = hierarchy_with_embeddings(rng, n_leaves, embed_provider)
+    leaves = sorted(h.layers[0].entity_ids)
+    for k in range(int(n_leaves * avg_degree / 2)):
+        a, b = rng.sample(leaves, 2)
+        rid = f"r{k:04d}"
+        h.relations[rid] = Relation(id=rid, source_id=a, target_id=b, description="x", layer=0)
+        h.layers[0].relation_ids.add(rid)
+        if k % 7 == 0:  # a second relation between the same two entities
+            h.relations[rid + "p"] = Relation(id=rid + "p", source_id=b, target_id=a, description="y", layer=0)
+            h.layers[0].relation_ids.add(rid + "p")
+    for layer in h.layers[1:]:
+        aggs = sorted(layer.entity_ids)
+        for k in range(len(aggs)):
+            if len(aggs) < 2:
+                break
+            a, b = rng.sample(aggs, 2)
+            rid = f"ra{layer.index}_{k}"
+            h.relations[rid] = Relation(
+                id=rid, source_id=a, target_id=b, description="z", layer=layer.index,
+                kind=RelationKind.INTER_CLUSTER_CONCATENATED,
+            )
+            layer.relation_ids.add(rid)
+    return h, embeddings
+
+
+class TestMatchesScanReference:
+    """The indexed query path returns exactly what the full scans returned."""
+
+    def test_random_hierarchies(self, embed_provider):
+        rng = random.Random(21)
+        for trial in range(12):
+            n_leaves = rng.choice([15, 40, 80])
+            h, embeddings = hierarchy_with_relations(rng, n_leaves, rng.choice([1.5, 3.0, 6.0]), embed_provider)
+            for _ in range(4):
+                query = description(rng, length=rng.randint(2, 8))
+                n = rng.randint(1, 14)
+                seeds = anchor_seeds(h, embeddings, query, n, embed_provider)
+                assert seeds.entries == scan_anchor_seeds(h, embeddings, query, n, embed_provider)
+                paths, lca_nodes = lca_paths(h, seeds)
+                sub = assemble_subgraph(h, paths, lca_nodes)
+                node_ids, path_rel, inter = scan_assemble_subgraph(h, paths)
+                assert (sub.node_ids, sub.path_relations, sub.inter_cluster_relations) == (node_ids, path_rel, inter)
+                for max_hops in range(1, 6):
+                    flat = flat_path_retrieve(h, seeds, max_hops=max_hops)
+                    expected = scan_flat_path_retrieve(h, seeds.entity_ids, max_hops)
+                    assert (flat.node_ids, flat.path_relations) == expected, (trial, max_hops)
+
+    def test_ties_at_the_cut_go_to_smaller_ids(self, embed_provider):
+        rng = random.Random(22)
+        h, embeddings = hierarchy_with_embeddings(rng, 40, embed_provider)
+        leaves = sorted(h.layers[0].entity_ids)
+        twins = rng.sample(leaves, 6)
+        text = "orchid plateau quarry reef"
+        for eid in twins:
+            h.entities[eid].description = text
+            embeddings[eid] = embed_provider.embed_batch([text])[0]
+        for n in (1, 3, 5, 6):
+            seeds = anchor_seeds(h, embeddings, text, n, embed_provider)
+            assert seeds.entity_ids == sorted(twins)[:n]
+            assert len({score for _, score in seeds.entries}) == 1
+            assert seeds.entries == scan_anchor_seeds(h, embeddings, text, n, embed_provider)
+        # every score equal: the cut falls inside one tie spanning layer 0
+        for eid in leaves:
+            embeddings[eid] = embeddings[twins[0]]
+        seeds = anchor_seeds(h, embeddings, "meadow nebula", 7, embed_provider)
+        assert seeds.entity_ids == leaves[:7]
+
+    def test_duplicate_seed_ids(self, embed_provider):
+        rng = random.Random(23)
+        h, _ = hierarchy_with_relations(rng, 30, 3.0, embed_provider)
+        leaves = sorted(h.layers[0].entity_ids)
+        seed_ids = [leaves[0], leaves[5], leaves[0], leaves[9]]
+        seeds = SeedSet(query="q", entries=[(eid, 1.0) for eid in seed_ids], n=4)
+        for max_hops in range(1, 5):
+            flat = flat_path_retrieve(h, seeds, max_hops=max_hops)
+            assert (flat.node_ids, flat.path_relations) == scan_flat_path_retrieve(h, seed_ids, max_hops)
+
+
+def test_queried_index_freed_without_cycle_collector(tmp_path, embed_provider, gen_provider):
+    """The cached query views hold no reference back to the hierarchy, so a
+    loaded index is freed by reference counting alone."""
+    entities, relations, chunks = make_layer0(random.Random(24), 40, avg_degree=3)
+    h, embeddings, _ = build_hierarchy(entities, relations, BuildParams(cluster_size=8, seed=0), embed_provider, gen_provider)
+    save_index(h, embeddings, chunks, tmp_path / "index")
+    del h
+    h, embeddings, _, _ = load_index(tmp_path / "index")
+    gc.collect()
+    gc.disable()
+    try:
+        seeds, sub = retrieve(h, embeddings, "glacier summit tundra", 6, embed_provider)
+        flat_path_retrieve(h, seeds, max_hops=4)
+        assert "layer0_ids" in vars(h) and "relations_by_entity" in vars(h)
+        ref = weakref.ref(h)
+        del h
+        assert ref() is None
+    finally:
+        gc.enable()
