@@ -23,6 +23,10 @@ class RelationKind(str, Enum):
     INTER_CLUSTER_CONCATENATED = "inter_cluster_concatenated"
 
 
+# a dict lookup is several times cheaper than RelationKind(value) on load
+_KIND_BY_VALUE = {kind.value: kind for kind in RelationKind}
+
+
 @dataclass
 class Entity:
     id: str
@@ -60,9 +64,6 @@ class Relation:
     layer: int = 0
     kind: RelationKind = RelationKind.BASE
 
-    def endpoints(self) -> tuple[str, str]:
-        return (self.source_id, self.target_id)
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,
@@ -75,13 +76,16 @@ class Relation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Relation":
+        kind = _KIND_BY_VALUE.get(d["kind"])
+        if kind is None:
+            raise ValueError(f"{d['kind']!r} is not a valid RelationKind")
         return cls(
             id=d["id"],
             source_id=d["source_id"],
             target_id=d["target_id"],
             description=d["description"],
             layer=d["layer"],
-            kind=RelationKind(d["kind"]),
+            kind=kind,
         )
 
 
@@ -191,12 +195,6 @@ class Hierarchy:
         except KeyError:
             raise NotFoundError(f"unknown entity id: {entity_id}") from None
 
-    def relation(self, relation_id: str) -> Relation:
-        try:
-            return self.relations[relation_id]
-        except KeyError:
-            raise NotFoundError(f"unknown relation id: {relation_id}") from None
-
     @cached_property
     def layer0_ids(self) -> list[str]:
         """Layer-0 entity ids in sorted order."""
@@ -211,11 +209,6 @@ class Hierarchy:
             if r.target_id != r.source_id:
                 index[r.target_id].append(rid)
         return dict(index)
-
-    def layer(self, index: int) -> GraphLayer:
-        if index < 0 or index >= len(self.layers):
-            raise NotFoundError(f"no layer {index}")
-        return self.layers[index]
 
     def ancestors(self, entity_id: str) -> list[str]:
         """Chain from the entity up to its topmost ancestor, inclusive."""

@@ -1,11 +1,28 @@
+import builtins
+import hashlib
+import io
 import json
+import os
 import random
+import shutil
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hierkg.cli import main
 from hierkg.errors import IngestError, StoreError
-from hierkg.model import BuildParams, validate_hierarchy
+from hierkg.model import (
+    BuildParams,
+    Chunk,
+    Entity,
+    GraphLayer,
+    Hierarchy,
+    Relation,
+    RelationKind,
+    validate_hierarchy,
+)
 from hierkg.store import (
     FORMAT_VERSION,
     ingest,
@@ -127,10 +144,10 @@ class TestIngest:
         assert report.chunks == len(chunks) == len(got_c)
 
 
-def build_small_index(tmp_path, seed=3, name="idx"):
+def build_small_index(tmp_path, seed=3, name="idx", cluster_size=10):
     rng = random.Random(seed)
     entities, relations, chunks = make_layer0(rng, 30, avg_degree=3)
-    params = BuildParams(cluster_size=10, seed=seed)
+    params = BuildParams(cluster_size=cluster_size, seed=seed)
     h, embeddings, _ = build_hierarchy(
         entities, relations, params, MockEmbeddingProvider(), MockGenerationProvider()
     )
@@ -143,7 +160,7 @@ class TestIndexRoundTrip:
     def test_structural_round_trip(self, tmp_path):
         h, embeddings, chunks, directory, manifest = build_small_index(tmp_path)
         h2, emb2, chunks2, manifest2 = load_index(directory)
-        assert manifest2.content_hash == manifest.content_hash
+        assert manifest2.content_hash == manifest.content_hash == content_hash_of(directory)
         assert manifest2.format_version == FORMAT_VERSION
         assert set(h2.entities) == set(h.entities)
         assert set(h2.relations) == set(h.relations)
@@ -222,3 +239,170 @@ class TestIndexRoundTrip:
         *_, m3 = build_small_index(tmp_path, seed=4, name="c")
         assert m1.content_hash == m2.content_hash
         assert m1.content_hash != m3.content_hash
+
+
+def content_hash_of(directory):
+    """The documented content hash: SHA-256 over name, NUL, bytes of each shard in sorted name order."""
+    doc = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    names = ["chunks.jsonl", "embeddings.bin"]
+    for stat in doc["layer_stats"]:
+        names += [f"entities_{stat['index']}.jsonl", f"relations_{stat['index']}.jsonl"]
+    digest = hashlib.sha256()
+    for name in sorted(names):
+        digest.update(name.encode("utf-8") + b"\x00" + (directory / name).read_bytes())
+    return digest.hexdigest()
+
+
+def rehash(directory):
+    """Rewrite content_hash so that edited shards pass the hash check."""
+    mpath = directory / "manifest.json"
+    doc = json.loads(mpath.read_text(encoding="utf-8"))
+    doc["content_hash"] = content_hash_of(directory)
+    mpath.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def edit_rows(path, edit):
+    """Apply edit to the list of rows of a JSONL shard and write it back."""
+    rows = [json.loads(line) for line in path.read_bytes().split(b"\n") if line]
+    edit(rows)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def first_row_not_object(rows):
+    rows[0] = [1, 2]
+
+
+def set_first_kind(rows):
+    rows[0]["kind"] = "sideways"
+
+
+def drop_first_layer(rows):
+    del rows[0]["layer"]
+
+
+def drop_last_row(rows):
+    rows.pop()
+
+
+class TestLoadFailsClosed:
+    """Shards that pass the hash check but disagree with the format or the
+    manifest raise StoreError naming the shard; the CLI exits 3."""
+
+    @pytest.mark.parametrize(
+        "shard, edit",
+        [
+            ("entities_2.jsonl", first_row_not_object),
+            ("relations_1.jsonl", set_first_kind),
+            ("relations_1.jsonl", drop_first_layer),
+        ],
+        ids=["entity-row-not-object", "unknown-relation-kind", "relation-without-layer"],
+    )
+    def test_malformed_row(self, tmp_path, caplog, shard, edit):
+        _, _, _, directory, _ = build_small_index(tmp_path, cluster_size=4)
+        edit_rows(directory / shard, edit)
+        rehash(directory)
+        with pytest.raises(StoreError) as exc:
+            load_index(directory)
+        assert shard in str(exc.value)
+        assert main(["stats", "--index", str(directory)]) == 3
+        assert shard in caplog.text
+
+    @pytest.mark.parametrize("shard", ["entities_1.jsonl", "relations_0.jsonl"])
+    def test_row_count_differs_from_manifest(self, tmp_path, shard):
+        _, _, _, directory, _ = build_small_index(tmp_path, cluster_size=4)
+        edit_rows(directory / shard, drop_last_row)
+        rehash(directory)
+        with pytest.raises(StoreError) as exc:
+            load_index(directory)
+        assert shard in str(exc.value) and "manifest" in str(exc.value)
+
+    def test_embedding_count_differs_from_entities(self, tmp_path):
+        h, embeddings, chunks, directory, _ = build_small_index(tmp_path)
+        short = dict(sorted(embeddings.items())[1:])
+        save_index(h, short, chunks, tmp_path / "short")
+        shutil.copyfile(tmp_path / "short" / "embeddings.bin", directory / "embeddings.bin")
+        rehash(directory)
+        with pytest.raises(StoreError) as exc:
+            load_index(directory)
+        assert "embeddings.bin" in str(exc.value)
+
+    def test_embedding_dim_differs_from_manifest(self, tmp_path):
+        _, _, _, directory, manifest = build_small_index(tmp_path)
+        mpath = directory / "manifest.json"
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        doc["embedding_dim"] = manifest.embedding_dim + 1
+        mpath.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(StoreError) as exc:
+            load_index(directory)
+        assert "dim" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["layer_stats"][0].pop("relations"),
+            lambda doc: doc["layer_stats"].append(dict(doc["layer_stats"][0])),
+            lambda doc: doc.pop("build_params"),
+        ],
+        ids=["layer-stat-without-count", "layer-listed-twice", "no-build-params"],
+    )
+    def test_malformed_manifest(self, tmp_path, edit):
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        mpath = directory / "manifest.json"
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        edit(doc)
+        mpath.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(StoreError):
+            load_index(directory)
+        assert main(["stats", "--index", str(directory)]) == 3
+
+
+# json.dumps(ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw, and
+# str.splitlines() splits on them; control characters are written escaped
+ODD_TEXT = "a\u2028b\u2029c\u0085d\re\nf\x1cg\x0bh\x0ci — ünïcødé 実体"
+
+
+def test_round_trip_keeps_line_separators_and_non_ascii(tmp_path):
+    ids = ["é\u20280", "実体\u00851", "z\u20292"]
+    h = Hierarchy(build_params=BuildParams(cluster_size=3))
+    layer0, layer1 = GraphLayer(index=0), GraphLayer(index=1)
+    for k, eid in enumerate(ids):
+        h.entities[eid] = Entity(eid, f"{ODD_TEXT} {k}", f"{k} {ODD_TEXT}", 0, ["ç\u2028k"])
+        layer0.entity_ids.add(eid)
+        h.parent_map[eid] = "agg\u2029ü"
+    h.entities["agg\u2029ü"] = Entity("agg\u2029ü", ODD_TEXT, ODD_TEXT, 1)
+    layer1.entity_ids.add("agg\u2029ü")
+    for k in range(2):
+        rid = f"ř\u2028{k}"
+        h.relations[rid] = Relation(rid, ids[k], ids[k + 1], ODD_TEXT, 0, RelationKind.BASE)
+        layer0.relation_ids.add(rid)
+    h.layers = [layer0, layer1]
+    assert validate_hierarchy(h) == []
+    rng = np.random.default_rng(0)
+    embeddings = {eid: rng.standard_normal(5) for eid in h.entities}
+    chunks = {"ç\u2028k": Chunk("ç\u2028k", ODD_TEXT, "döc\u0085", 7)}
+
+    save_index(h, embeddings, chunks, tmp_path / "idx")
+    h2, emb2, chunks2, _ = load_index(tmp_path / "idx")
+    assert {k: e.to_dict() for k, e in h2.entities.items()} == {k: e.to_dict() for k, e in h.entities.items()}
+    assert {k: r.to_dict() for k, r in h2.relations.items()} == {k: r.to_dict() for k, r in h.relations.items()}
+    assert h2.parent_map == h.parent_map
+    assert [(l.entity_ids, l.relation_ids) for l in h2.layers] == [(l.entity_ids, l.relation_ids) for l in h.layers]
+    assert chunks2 == chunks
+    assert {k: v.tobytes() for k, v in emb2.items()} == {k: v.tobytes() for k, v in embeddings.items()}
+
+
+def test_load_reads_each_file_once(tmp_path, monkeypatch):
+    _, _, _, directory, _ = build_small_index(tmp_path)
+    real_open = io.open
+    reads = Counter()
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == directory:
+            reads[Path(file).name] += 1
+        return real_open(file, *args, **kwargs)
+
+    # pathlib opens files through io.open, plain code through builtins.open
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    load_index(directory)
+    assert reads == Counter(os.listdir(directory))
