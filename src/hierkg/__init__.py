@@ -13,6 +13,7 @@ from .errors import HierKGError
 from .model import (
     BuildParams,
     Chunk,
+    EmbeddingTable,
     Entity,
     GraphLayer,
     Hierarchy,
@@ -44,6 +45,7 @@ __all__ = [
     "BuildReport",
     "Chunk",
     "ContextBundle",
+    "EmbeddingTable",
     "Entity",
     "GraphLayer",
     "Hierarchy",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import ClusterAssignment, choose_num_components, fit_gmm, split_oversized
 from .errors import InvalidArgumentError
-from .model import BuildParams, Entity, GraphLayer, Hierarchy, Relation, RelationKind
+from .model import BuildParams, EmbeddingTable, Entity, GraphLayer, Hierarchy, Relation, RelationKind
 
 logger = logging.getLogger(__name__)
 
@@ -220,13 +220,14 @@ def build_hierarchy(
     embed_provider,
     gen_provider,
     max_workers: int = 1,
-) -> tuple[Hierarchy, dict[str, np.ndarray], BuildReport]:
+) -> tuple[Hierarchy, EmbeddingTable, BuildReport]:
     """Build the full hierarchy from a validated layer-0 graph.
 
-    Returns the hierarchy, the id->vector embedding table (layer 0 plus
-    all aggregates), and a build report for operator output. h.entities
-    shares the caller's Entity objects; the build never writes to them,
-    since parent links live only in h.parent_map.
+    Returns the hierarchy, the EmbeddingTable of every entity (layer 0
+    plus all aggregates, rows in layer order), and a build report for
+    operator output. h.entities shares the caller's Entity objects; the
+    build never writes to them, since parent links live only in
+    h.parent_map.
     """
     if not entities:
         raise InvalidArgumentError("layer 0 is empty")
@@ -270,4 +271,4 @@ def build_hierarchy(
     for layer in h.layers:
         report.layer_entity_counts.append(len(layer.entity_ids))
         report.layer_relation_counts.append(len(layer.relation_ids))
-    return h, embeddings, report
+    return h, EmbeddingTable.for_hierarchy(h, embeddings), report

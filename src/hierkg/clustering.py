@@ -23,7 +23,6 @@ VARIANCE_FLOOR = 1e-6
 class ClusterAssignment:
     layer: int
     clusters: list[set[str]]
-    responsibilities: np.ndarray | None = None  # (n, m) in sorted-id order
     log_likelihoods: list[float] = field(default_factory=list)
     params: dict = field(default_factory=dict)
 
@@ -118,7 +117,6 @@ def fit_gmm(
         return ClusterAssignment(
             layer=layer,
             clusters=[set(ids_sorted)],
-            responsibilities=np.ones((n, 1)),
             params=params,
         )
 
@@ -164,7 +162,6 @@ def fit_gmm(
     return ClusterAssignment(
         layer=layer,
         clusters=clusters,
-        responsibilities=resp,
         log_likelihoods=log_likelihoods,
         params=params,
     )
@@ -228,7 +225,6 @@ def split_oversized(
     return ClusterAssignment(
         layer=assignment.layer,
         clusters=done,
-        responsibilities=None,
         log_likelihoods=list(assignment.log_likelihoods),
         params=dict(assignment.params, cluster_size=cluster_size),
     )

@@ -3,22 +3,25 @@
 A built index is a stack of graph layers: layer 0 holds the ingested
 entities/relations with chunk provenance, every higher layer holds
 generated aggregate entities plus inter-cluster relations. Parent links
-form a forest (each entity has at most one parent, one layer up).
+form a forest (each entity has at most one parent, one layer up). The
+entity vectors live in one EmbeddingTable, in layer order.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidArgumentError, NotFoundError
 
 
 class RelationKind(str, Enum):
     BASE = "base"
-    INTRA_CLUSTER_INHERITED = "intra_cluster_inherited"
     INTER_CLUSTER_AGGREGATED = "inter_cluster_aggregated"
     INTER_CLUSTER_CONCATENATED = "inter_cluster_concatenated"
 
@@ -196,9 +199,9 @@ class Hierarchy:
             raise NotFoundError(f"unknown entity id: {entity_id}") from None
 
     @cached_property
-    def layer0_ids(self) -> list[str]:
+    def layer0_ids(self) -> tuple[str, ...]:
         """Layer-0 entity ids in sorted order."""
-        return sorted(self.layers[0].entity_ids)
+        return tuple(sorted(self.layers[0].entity_ids))
 
     @cached_property
     def relations_by_entity(self) -> dict[str, list[str]]:
@@ -230,6 +233,63 @@ class Hierarchy:
         if agg.layer < 1:
             raise InvalidArgumentError(f"{aggregate_id} is a layer-0 entity, not an aggregate")
         return {eid for eid, pid in self.parent_map.items() if pid == aggregate_id}
+
+
+class EmbeddingTable(Mapping[str, np.ndarray]):
+    """Read-only id -> vector table over one (N, d) float64 matrix.
+
+    Rows are laid out layer by layer, layer 0 first, each layer in
+    sorted-id order (see row_order), so the layer-0 vectors are the
+    contiguous block matrix[:len(h.layer0_ids)]. table[eid] is a
+    read-only view of that entity's row; ids is the row order.
+    """
+
+    __slots__ = ("ids", "matrix", "_row")
+
+    def __init__(self, ids: Iterable[str], matrix: np.ndarray):
+        """Take ownership of matrix, a C-contiguous <f8 (N, d) array, and make it read-only."""
+        self.ids = tuple(ids)
+        self._row = {eid: i for i, eid in enumerate(self.ids)}
+        if len(self._row) != len(self.ids):
+            raise InvalidArgumentError("embedding table ids are not unique")
+        if matrix.dtype != np.dtype("<f8") or matrix.ndim != 2 or not matrix.flags.c_contiguous:
+            raise InvalidArgumentError(f"embedding matrix must be C-contiguous <f8 2-D, got {matrix.dtype} {matrix.shape}")
+        if matrix.shape[0] != len(self.ids):
+            raise InvalidArgumentError(f"{matrix.shape[0]} embedding rows for {len(self.ids)} ids")
+        matrix.flags.writeable = False
+        self.matrix = matrix
+
+    @staticmethod
+    def row_order(h: Hierarchy) -> list[str]:
+        """Entity ids layer by layer in h.layers order, each layer sorted."""
+        return [eid for layer in h.layers for eid in sorted(layer.entity_ids)]
+
+    @classmethod
+    def for_hierarchy(cls, h: Hierarchy, vectors: Mapping[str, np.ndarray]) -> EmbeddingTable:
+        """Copy one vector per entity of h's layers into a new table in row_order."""
+        ids = cls.row_order(h)
+        missing = [eid for eid in ids if eid not in vectors]
+        if missing or len(vectors) != len(ids):
+            raise InvalidArgumentError(
+                f"{len(vectors)} vectors for {len(ids)} entities; first missing: {missing[:3]}"
+            )
+        try:
+            matrix = np.stack([np.asarray(vectors[eid], dtype="<f8") for eid in ids])
+        except ValueError as exc:
+            raise InvalidArgumentError(f"embedding vectors differ in shape: {exc}") from None
+        return cls(ids, matrix)
+
+    def __getitem__(self, eid: str) -> np.ndarray:
+        return self.matrix[self._row[eid]]
+
+    def __contains__(self, eid: object) -> bool:
+        return eid in self._row
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def validate_hierarchy(h: Hierarchy) -> list[str]:

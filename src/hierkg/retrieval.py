@@ -1,6 +1,9 @@
 """Query-time retrieval over a built hierarchy.
 
-Seeds are anchored by dense similarity over layer-0 entities only, then
+Seeds are anchored by dense similarity over layer-0 entities only, with
+one mat-vec over the layer-0 block of the EmbeddingTable that
+build_hierarchy and load_index return (rows layer by layer, layer 0
+first, each layer in sorted-id order), then
 connected through the hierarchy: seeds sharing a root contribute their
 ancestor chains truncated at the group's lowest common ancestor, and the
 resulting subgraph picks up layer-0 relations between co-retrieved seeds
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import Hierarchy
+from .model import EmbeddingTable, Hierarchy
 
 DEFAULT_MAX_HOPS = 4
 
@@ -70,7 +73,7 @@ class RetrievedSubgraph:
 
 def anchor_seeds(
     h: Hierarchy,
-    embeddings: dict[str, np.ndarray],
+    embeddings: EmbeddingTable,
     query: str,
     n: int,
     embed_provider,
@@ -78,15 +81,20 @@ def anchor_seeds(
     """Top-n layer-0 entities by cosine similarity to the query.
 
     Aggregates are never candidates; ties break toward the smaller id.
+    The table's rows must start with h.layer0_ids, as the tables from
+    build_hierarchy, load_index and EmbeddingTable.for_hierarchy do.
     """
     if not query.strip():
         raise InvalidArgumentError("query must be non-empty")
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    qvec = embed_provider.embed_batch([query])[0]
     ids0 = h.layer0_ids
-    matrix = np.stack([embeddings[eid] for eid in ids0])
-    scores = matrix @ qvec  # all vectors unit-length, so dot == cosine
+    if embeddings.ids[: len(ids0)] != ids0:
+        raise InvalidArgumentError("embedding table rows do not start with the layer-0 ids of the hierarchy")
+    qvec = embed_provider.embed_batch([query])[0]
+    # score the layer-0 rows on their own: a mat-vec over all N rows can
+    # round differently in the last bits, as BLAS blocks rows by position
+    scores = embeddings.matrix[: len(ids0)] @ qvec  # all vectors unit-length, so dot == cosine
     candidates = range(len(ids0))
     if n < len(ids0):
         # everything scoring at least the n-th largest, so ties at the cut survive
@@ -195,7 +203,7 @@ def assemble_subgraph(
 
 def retrieve(
     h: Hierarchy,
-    embeddings: dict[str, np.ndarray],
+    embeddings: EmbeddingTable,
     query: str,
     n: int,
     embed_provider,

@@ -9,11 +9,19 @@ Hierarchy.parent_map (null on the top layer). The manifest's content
 hash is SHA-256 over each shard's name, a NUL byte and its bytes, in
 sorted name order.
 
+embeddings.bin stores the vectors in sorted-id order.
+
 A load reads each shard from disk once and verifies the content hash
 over those bytes before it parses any row. It fails closed with
 StoreError (CLI exit 3) on a hash mismatch, a malformed manifest or
-row, or row, embedding or dimension counts that disagree with the
-manifest.
+row, row, embedding or dimension counts that disagree with the
+manifest, an entity id that repeats, an entity whose layer field
+differs from its shard, or a parent_id or relation endpoint naming no
+loaded entity. It returns the
+vectors as one EmbeddingTable whose rows are laid out layer by layer,
+layer 0 first, each layer in sorted-id order; the disk order stays
+sorted by id, so the saved bytes and the content hash do not depend on
+the table's layout.
 """
 
 from __future__ import annotations
@@ -21,14 +29,14 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IngestError, InvalidArgumentError, StoreError
-from .model import BuildParams, Chunk, Entity, GraphLayer, Hierarchy, Relation
+from .model import BuildParams, Chunk, EmbeddingTable, Entity, GraphLayer, Hierarchy, Relation
 from .providers import count_tokens
 
 FORMAT_VERSION = 1
@@ -206,7 +214,7 @@ def _parse_jsonl(shards: dict[str, bytes], name: str, expected: int | None = Non
     return rows
 
 
-def _embedding_bytes(embeddings: dict[str, np.ndarray], dim: int) -> bytes:
+def _embedding_bytes(embeddings: Mapping[str, np.ndarray], dim: int) -> bytes:
     ids = sorted(embeddings)
     parts = [EMBEDDING_MAGIC, struct.pack("<II", len(ids), dim)]
     for eid in ids:
@@ -218,14 +226,20 @@ def _embedding_bytes(embeddings: dict[str, np.ndarray], dim: int) -> bytes:
     return b"".join(parts)
 
 
-def _read_embeddings(data: bytes) -> tuple[dict[str, np.ndarray], int]:
-    """Parse embeddings.bin into row views of one (N, d) float64 matrix."""
+def _read_embeddings(data: bytes, row_of: dict[str, int]) -> tuple[np.ndarray, int]:
+    """Parse embeddings.bin into one (N, d) float64 matrix.
+
+    Each vector is copied straight into row row_of[id]; the shard must
+    hold exactly one vector for each id of row_of.
+    """
     if not data.startswith(EMBEDDING_MAGIC):
         raise StoreError("embedding shard has wrong magic")
     offset = len(EMBEDDING_MAGIC)
     try:
         count, dim = struct.unpack_from("<II", data, offset)
         offset += 8
+        if count != len(row_of):
+            raise StoreError(f"embeddings.bin: {count} vectors do not match the {len(row_of)} entities")
         vec_bytes = dim * 8
         # every row holds at least a 2-byte id length and its vector
         if count * (2 + vec_bytes) > len(data) - offset:
@@ -233,20 +247,23 @@ def _read_embeddings(data: bytes) -> tuple[dict[str, np.ndarray], int]:
         matrix = np.empty((count, dim), dtype="<f8")
         dst = memoryview(matrix.reshape(-1).view(np.uint8))
         src = memoryview(data)
-        out: dict[str, np.ndarray] = {}
-        for i in range(count):
+        filled = bytearray(count)
+        for _ in range(count):
             (id_len,) = struct.unpack_from("<H", data, offset)
             offset += 2
             eid = data[offset : offset + id_len].decode("utf-8")
             offset += id_len
-            dst[i * vec_bytes : (i + 1) * vec_bytes] = src[offset : offset + vec_bytes]
+            row = row_of.get(eid)
+            if row is None or filled[row]:
+                raise StoreError(f"embeddings.bin: unexpected or repeated vector for entity {eid!r}")
+            filled[row] = 1
+            dst[row * vec_bytes : (row + 1) * vec_bytes] = src[offset : offset + vec_bytes]
             offset += vec_bytes
-            out[eid] = matrix[i]
     except (struct.error, ValueError) as exc:
         raise StoreError(f"embedding shard is truncated or malformed: {exc}") from None
     if offset != len(data):
         raise StoreError("embedding shard has trailing bytes")
-    return out, dim
+    return matrix, dim
 
 
 def _content_hash(names: Iterable[str], data_of: Callable[[str], bytes]) -> str:
@@ -265,7 +282,7 @@ def _content_hash(names: Iterable[str], data_of: Callable[[str], bytes]) -> str:
 
 def save_index(
     h: Hierarchy,
-    embeddings: dict[str, np.ndarray],
+    embeddings: Mapping[str, np.ndarray],
     chunks: dict[str, Chunk],
     directory: str | Path,
     provider_ids: dict | None = None,
@@ -318,12 +335,14 @@ def save_index(
 
 def load_index(
     directory: str | Path,
-) -> tuple[Hierarchy, dict[str, np.ndarray], dict[str, Chunk], IndexManifest]:
+) -> tuple[Hierarchy, EmbeddingTable, dict[str, Chunk], IndexManifest]:
     """Load a saved index, reading each shard once.
 
     The version and the content hash over the bytes read are verified
     before any row is parsed; row, layer and embedding counts must then
-    match the manifest. Anything else raises StoreError.
+    match the manifest, and every parent_id and relation endpoint must
+    name a loaded entity. Anything else raises StoreError. The vectors
+    come back as an EmbeddingTable in layer order (EmbeddingTable.row_order).
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -341,6 +360,7 @@ def load_index(
         )
     if len({index for index, _, _ in layer_counts}) != len(layer_counts):
         raise StoreError("manifest.json lists a layer twice")
+    layer_counts.sort()
 
     names = [f"{kind}_{index}.jsonl" for index, _, _ in layer_counts for kind in ("entities", "relations")]
     names += ["chunks.jsonl", "embeddings.bin"]
@@ -353,31 +373,50 @@ def load_index(
     if _content_hash(shards, shards.__getitem__) != manifest.content_hash:
         raise StoreError("content hash mismatch: index is corrupt or partially written")
 
+    # every entity is loaded before any reference to one is checked
     h = Hierarchy(build_params=build_params)
-    for index, n_entities, n_relations in layer_counts:
+    for index, n_entities, _ in layer_counts:
         layer = GraphLayer(index=index)
         name = f"entities_{index}.jsonl"
         rows = _parse_jsonl(shards, name, n_entities)
         try:
             for row in rows:
                 e = Entity.from_dict(row)
+                if not isinstance(e.id, str) or e.id in h.entities:
+                    raise StoreError(f"{name}: entity id {e.id!r} is not a string or appears twice")
+                if e.layer != index:
+                    raise StoreError(f"{name}: entity {e.id!r} declares layer {e.layer!r}")
                 h.entities[e.id] = e
                 layer.entity_ids.add(e.id)
                 if row.get("parent_id") is not None:
                     h.parent_map[e.id] = row["parent_id"]
         except _ROW_ERRORS as exc:
             raise _malformed(name, row, exc) from None
+        del rows  # free this shard's rows before the next one is parsed
+        h.layers.append(layer)
+    for child, parent in h.parent_map.items():
+        if not isinstance(parent, str) or parent not in h.entities:
+            raise StoreError(
+                f"entities_{h.entities[child].layer}.jsonl: entity {child!r} names parent {parent!r}, which is not in the index"
+            )
+
+    entities = h.entities
+    for layer, (index, _, n_relations) in zip(h.layers, layer_counts):
         name = f"relations_{index}.jsonl"
         rows = _parse_jsonl(shards, name, n_relations)
         try:
             for row in rows:
                 r = Relation.from_dict(row)
+                if r.source_id not in entities or r.target_id not in entities:
+                    raise StoreError(
+                        f"{name}: relation {r.id!r} names an endpoint that is not in the index: "
+                        f"{r.source_id!r} -> {r.target_id!r}"
+                    )
                 h.relations[r.id] = r
                 layer.relation_ids.add(r.id)
         except _ROW_ERRORS as exc:
             raise _malformed(name, row, exc) from None
-        h.layers.append(layer)
-    h.layers.sort(key=lambda l: l.index)
+        del rows
 
     chunks: dict[str, Chunk] = {}
     rows = _parse_jsonl(shards, "chunks.jsonl")
@@ -387,14 +426,11 @@ def load_index(
     except _ROW_ERRORS as exc:
         raise _malformed("chunks.jsonl", row, exc) from None
 
-    embeddings, dim = _read_embeddings(shards.pop("embeddings.bin"))
+    ids = EmbeddingTable.row_order(h)
+    matrix, dim = _read_embeddings(shards.pop("embeddings.bin"), {eid: i for i, eid in enumerate(ids)})
     if dim != manifest.embedding_dim:
         raise StoreError(f"embeddings.bin: dim {dim}, manifest says {manifest.embedding_dim}")
-    if embeddings.keys() != h.entities.keys():
-        raise StoreError(
-            f"embeddings.bin: {len(embeddings)} vectors do not match the {len(h.entities)} entities"
-        )
-    return h, embeddings, chunks, manifest
+    return h, EmbeddingTable(ids, matrix), chunks, manifest
 
 
 def _malformed(name: str, row: object, exc: Exception) -> StoreError:

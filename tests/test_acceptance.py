@@ -15,6 +15,7 @@ from hierkg.context import assemble_context, rank_chunks, redundancy_report
 from hierkg.model import (
     BuildParams,
     Chunk,
+    EmbeddingTable,
     Entity,
     GraphLayer,
     Hierarchy,
@@ -174,7 +175,7 @@ def test_04_retrieval_soundness_on_random_queries():
             h.layers[0].relation_ids.add(rid)
         ids = sorted(h.entities)
         vectors = embed.embed_batch([h.entities[eid].description for eid in ids])
-        embeddings = dict(zip(ids, vectors))
+        embeddings = EmbeddingTable.for_hierarchy(h, dict(zip(ids, vectors)))
         for q in range(10):
             query = " ".join(rng.choice(leaves) for _ in range(3))
             seeds, sub = retrieve(h, embeddings, query, 6, embed)

@@ -9,7 +9,16 @@ import pytest
 
 from hierkg.aggregation import build_hierarchy
 from hierkg.errors import InvalidArgumentError, NotFoundError
-from hierkg.model import BuildParams, Entity, GraphLayer, Hierarchy, Relation, RelationKind
+from hierkg.model import (
+    BuildParams,
+    EmbeddingTable,
+    Entity,
+    GraphLayer,
+    Hierarchy,
+    Relation,
+    RelationKind,
+    validate_hierarchy,
+)
 from hierkg.retrieval import (
     anchor_seeds,
     assemble_subgraph,
@@ -31,7 +40,7 @@ def hierarchy_with_embeddings(rng, n_leaves, embed_provider):
     vectors = embed_provider.embed_batch([h.entities[eid].description for eid in ids])
     for eid, vec in zip(ids, vectors):
         embeddings[eid] = vec
-    return h, embeddings
+    return h, EmbeddingTable.for_hierarchy(h, embeddings)
 
 
 def oracle_lca(h, a, b):
@@ -486,13 +495,15 @@ class TestMatchesScanReference:
 
     def test_ties_at_the_cut_go_to_smaller_ids(self, embed_provider):
         rng = random.Random(22)
-        h, embeddings = hierarchy_with_embeddings(rng, 40, embed_provider)
+        h, table = hierarchy_with_embeddings(rng, 40, embed_provider)
+        vectors = dict(table)
         leaves = sorted(h.layers[0].entity_ids)
         twins = rng.sample(leaves, 6)
         text = "orchid plateau quarry reef"
         for eid in twins:
             h.entities[eid].description = text
-            embeddings[eid] = embed_provider.embed_batch([text])[0]
+            vectors[eid] = embed_provider.embed_batch([text])[0]
+        embeddings = EmbeddingTable.for_hierarchy(h, vectors)
         for n in (1, 3, 5, 6):
             seeds = anchor_seeds(h, embeddings, text, n, embed_provider)
             assert seeds.entity_ids == sorted(twins)[:n]
@@ -500,7 +511,8 @@ class TestMatchesScanReference:
             assert seeds.entries == scan_anchor_seeds(h, embeddings, text, n, embed_provider)
         # every score equal: the cut falls inside one tie spanning layer 0
         for eid in leaves:
-            embeddings[eid] = embeddings[twins[0]]
+            vectors[eid] = vectors[twins[0]]
+        embeddings = EmbeddingTable.for_hierarchy(h, vectors)
         seeds = anchor_seeds(h, embeddings, "meadow nebula", 7, embed_provider)
         assert seeds.entity_ids == leaves[:7]
 
@@ -513,6 +525,83 @@ class TestMatchesScanReference:
         for max_hops in range(1, 5):
             flat = flat_path_retrieve(h, seeds, max_hops=max_hops)
             assert (flat.node_ids, flat.path_relations) == scan_flat_path_retrieve(h, seed_ids, max_hops)
+
+
+def exact(entries):
+    return [(eid, np.float64(score).tobytes()) for eid, score in entries]
+
+
+def interleaved_hierarchy(rng, n_leaves, embed_provider, n_twins):
+    """Random hierarchy whose layer-0 ids sort around the agg:... ids, so that
+    layer 0 is not a contiguous block of the sorted ids; n_twins leaves share
+    one description, so their scores tie exactly."""
+    base = make_random_hierarchy(rng, n_leaves)
+    rename = {eid: rng.choice("amz") + eid for eid in base.layers[0].entity_ids}
+    h = Hierarchy(layers=[GraphLayer(index=0, entity_ids=set(rename.values()))] + base.layers[1:])
+    for eid, e in base.entities.items():
+        new = rename.get(eid, eid)
+        h.entities[new] = Entity(id=new, name=new, description=e.description, layer=e.layer, source_chunk_ids=e.source_chunk_ids)
+    h.parent_map = {rename.get(c, c): p for c, p in base.parent_map.items()}
+    leaves = sorted(h.layers[0].entity_ids)
+    for eid in rng.sample(leaves, n_twins):
+        h.entities[eid].description = "orchid plateau quarry reef"
+    ids = sorted(h.entities)
+    vectors = dict(zip(ids, embed_provider.embed_batch([h.entities[eid].description for eid in ids])))
+    return h, vectors
+
+
+class TestAnchorMatchesStackReference:
+    """Scoring a view of the table's layer-0 rows gives the same seeds and the
+    same score bits as scan_anchor_seeds, which stacks the layer-0 vectors of
+    a plain dict on every query."""
+
+    def test_random_interleaved_hierarchies(self, embed_provider):
+        rng = random.Random(31)
+        for trial in range(12):
+            h, vectors = interleaved_hierarchy(rng, rng.choice([15, 60, 200]), embed_provider, rng.randint(2, 8))
+            assert validate_hierarchy(h) == []
+            table = EmbeddingTable.for_hierarchy(h, vectors)
+            rows0 = [i for i, eid in enumerate(sorted(h.entities)) if eid in h.layers[0].entity_ids]
+            assert rows0 != list(range(len(rows0))), "layer 0 must not be a prefix of the sorted ids"
+            assert table.ids[: len(rows0)] == h.layer0_ids
+            twins = sorted(eid for eid in h.layer0_ids if h.entities[eid].description == "orchid plateau quarry reef")
+            queries = [description(rng, length=rng.randint(2, 8)) for _ in range(3)] + ["orchid plateau quarry reef"]
+            for query in queries:
+                for n in (1, len(twins) - 1, len(twins), rng.randint(1, 30)):
+                    got = anchor_seeds(h, table, query, n, embed_provider).entries
+                    assert exact(got) == exact(scan_anchor_seeds(h, vectors, query, n, embed_provider)), (trial, query, n)
+            # the twins tie exactly at the cut, and the smaller ids win
+            seeds = anchor_seeds(h, table, "orchid plateau quarry reef", len(twins) - 1, embed_provider)
+            assert seeds.entity_ids == twins[:-1]
+            assert len({np.float64(score).tobytes() for _, score in seeds.entries}) == 1
+
+    def test_table_is_read_only(self, embed_provider):
+        h, table = hierarchy_with_embeddings(random.Random(32), 20, embed_provider)
+        eid = h.layer0_ids[0]
+        with pytest.raises(ValueError):
+            table[eid][0] = 1.0
+        with pytest.raises(ValueError):
+            table.matrix[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            table[eid] = np.zeros(table.matrix.shape[1])
+
+    def test_rows_must_start_with_layer0(self, embed_provider):
+        h, vectors = interleaved_hierarchy(random.Random(33), 30, embed_provider, 2)
+        ids = sorted(vectors)
+        sorted_table = EmbeddingTable(ids, np.stack([vectors[eid] for eid in ids]))
+        with pytest.raises(InvalidArgumentError):
+            anchor_seeds(h, sorted_table, "glacier summit", 5, embed_provider)
+        with pytest.raises(InvalidArgumentError):
+            retrieve(h, sorted_table, "glacier summit", 5, embed_provider)
+
+    def test_for_hierarchy_needs_one_vector_per_entity(self, embed_provider):
+        h, vectors = interleaved_hierarchy(random.Random(34), 30, embed_provider, 2)
+        missing = dict(vectors)
+        del missing[h.layer0_ids[3]]
+        with pytest.raises(InvalidArgumentError):
+            EmbeddingTable.for_hierarchy(h, missing)
+        with pytest.raises(InvalidArgumentError):
+            EmbeddingTable.for_hierarchy(h, {**vectors, "extra": vectors[h.layer0_ids[0]]})
 
 
 def test_queried_index_freed_without_cycle_collector(tmp_path, embed_provider, gen_provider):

@@ -16,6 +16,7 @@ from hierkg.errors import IngestError, StoreError
 from hierkg.model import (
     BuildParams,
     Chunk,
+    EmbeddingTable,
     Entity,
     GraphLayer,
     Hierarchy,
@@ -195,6 +196,17 @@ class TestIndexRoundTrip:
         for eid, vec in embeddings.items():
             assert emb2[eid].tobytes() == np.asarray(vec, dtype="<f8").tobytes()
 
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        # the table is in layer order, the shard in sorted-id order
+        h, embeddings, chunks, directory, _ = build_small_index(tmp_path, cluster_size=4)
+        h2, emb2, chunks2, _ = load_index(directory)
+        assert emb2.ids == embeddings.ids == tuple(EmbeddingTable.row_order(h2))
+        assert list(emb2.ids) != sorted(emb2.ids)
+        save_index(h2, emb2, chunks2, tmp_path / "again", provider_ids={"embedding": "mock"})
+        assert sorted(os.listdir(directory)) == sorted(os.listdir(tmp_path / "again"))
+        for name in os.listdir(directory):
+            assert (directory / name).read_bytes() == (tmp_path / "again" / name).read_bytes(), name
+
     def test_one_byte_corruption_fails_closed(self, tmp_path):
         _, _, _, directory, _ = build_small_index(tmp_path)
         shard = directory / "embeddings.bin"
@@ -284,6 +296,23 @@ def drop_last_row(rows):
     rows.pop()
 
 
+def set_first_kind_inherited(rows):
+    # a kind the format once listed and nothing ever wrote
+    rows[0]["kind"] = "intra_cluster_inherited"
+
+
+def set_first_target_ghost(rows):
+    rows[0]["target_id"] = "ghost"
+
+
+def set_first_layer_zero(rows):
+    rows[0]["layer"] = 0
+
+
+def repeat_first_id(rows):
+    rows[1]["id"] = rows[0]["id"]
+
+
 class TestLoadFailsClosed:
     """Shards that pass the hash check but disagree with the format or the
     manifest raise StoreError naming the shard; the CLI exits 3."""
@@ -294,8 +323,20 @@ class TestLoadFailsClosed:
             ("entities_2.jsonl", first_row_not_object),
             ("relations_1.jsonl", set_first_kind),
             ("relations_1.jsonl", drop_first_layer),
+            ("relations_0.jsonl", set_first_kind_inherited),
+            ("relations_0.jsonl", set_first_target_ghost),
+            ("entities_1.jsonl", set_first_layer_zero),
+            ("entities_1.jsonl", repeat_first_id),
         ],
-        ids=["entity-row-not-object", "unknown-relation-kind", "relation-without-layer"],
+        ids=[
+            "entity-row-not-object",
+            "unknown-relation-kind",
+            "relation-without-layer",
+            "intra-cluster-inherited-kind",
+            "dangling-relation-endpoint",
+            "entity-layer-differs-from-shard",
+            "entity-id-twice",
+        ],
     )
     def test_malformed_row(self, tmp_path, caplog, shard, edit):
         _, _, _, directory, _ = build_small_index(tmp_path, cluster_size=4)
@@ -325,6 +366,29 @@ class TestLoadFailsClosed:
         with pytest.raises(StoreError) as exc:
             load_index(directory)
         assert "embeddings.bin" in str(exc.value)
+
+    def test_dangling_parent_fails_query(self, tmp_path, caplog):
+        # this index used to load, and `hierkg query` then died with KeyError: 'ghost'
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        edit_rows(directory / "entities_0.jsonl", lambda rows: [row.update(parent_id="ghost") for row in rows])
+        rehash(directory)
+        with pytest.raises(StoreError) as exc:
+            load_index(directory)
+        assert "entities_0.jsonl" in str(exc.value) and "ghost" in str(exc.value)
+        assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
+        assert "entities_0.jsonl" in caplog.text
+
+    @pytest.mark.parametrize("replacement", [b"x0001", b"e0000"], ids=["unknown-id", "repeated-id"])
+    def test_embedding_ids_differ_from_entities(self, tmp_path, replacement):
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        shard = directory / "embeddings.bin"
+        data = shard.read_bytes()
+        assert data.count(b"e0001") == 1
+        shard.write_bytes(data.replace(b"e0001", replacement))
+        rehash(directory)
+        with pytest.raises(StoreError) as exc:
+            load_index(directory)
+        assert "embeddings.bin" in str(exc.value) and replacement.decode() in str(exc.value)
 
     def test_embedding_dim_differs_from_manifest(self, tmp_path):
         _, _, _, directory, manifest = build_small_index(tmp_path)
