@@ -35,7 +35,6 @@ from .retrieval import (
     assemble_subgraph,
     flat_path_retrieve,
     lca_paths,
-    lowest_common_ancestor,
     retrieve,
 )
 from .store import ingest, load_index, save_index
@@ -65,7 +64,6 @@ __all__ = [
     "ingest",
     "lca_paths",
     "load_index",
-    "lowest_common_ancestor",
     "make_embedding_provider",
     "make_generation_provider",
     "rank_chunks",

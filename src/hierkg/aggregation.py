@@ -6,6 +6,12 @@ inter-cluster relations: an LLM summary when the connectivity strength
 (count of crossing lower-layer relations) exceeds the threshold, a
 deterministic concatenation otherwise, and nothing at all for pairs with
 no crossing relations.
+
+There is one build path. Every layer chooses m = ceil(n / cluster_size),
+fits the mixture (fit_gmm, with the fixed EM_MAX_ITERS and EM_TOL of
+clustering) and splits any cluster above cluster_size (split_oversized).
+Passes repeat until the top layer holds at most stop_when_entities_leq
+entities or max_layers layers exist.
 """
 
 from __future__ import annotations
@@ -54,18 +60,6 @@ class BuildReport:
         }
 
 
-def intra_cluster_relations(
-    h: Hierarchy, layer: GraphLayer, cluster: set[str]
-) -> list[str]:
-    """Relation ids of the layer with both endpoints inside the cluster."""
-    out = []
-    for rid in sorted(layer.relation_ids):
-        r = h.relations[rid]
-        if r.source_id in cluster and r.target_id in cluster:
-            out.append(rid)
-    return out
-
-
 def bucket_relations(
     h: Hierarchy,
     layer: GraphLayer,
@@ -74,10 +68,10 @@ def bucket_relations(
 ) -> tuple[list[list[str]], list[InterClusterEvidence]]:
     """One sorted pass over the layer's relations, split by cluster label.
 
-    Returns, per cluster j, the ids that intra_cluster_relations would give
-    for assignment.clusters[j], and the crossing-relation evidence for
-    every cluster pair with strength > 0. aggregate_ids[j] is the
-    aggregate generated for assignment.clusters[j].
+    Returns, per cluster j, the sorted ids of the layer's relations with
+    both endpoints in assignment.clusters[j], and the crossing-relation
+    evidence for every cluster pair with strength > 0. aggregate_ids[j]
+    is the aggregate generated for assignment.clusters[j].
     """
     label_of = assignment.labels()
     intra: list[list[str]] = [[] for _ in assignment.clusters]
@@ -112,7 +106,6 @@ def build_layer(
     gen_provider,
     embeddings: dict[str, np.ndarray],
     report: BuildReport | None = None,
-    num_components: int | None = None,
     max_workers: int = 1,
 ) -> tuple[GraphLayer, list[InterClusterEvidence]]:
     """Aggregate the current top layer into a new layer appended to h."""
@@ -122,32 +115,15 @@ def build_layer(
         raise InvalidArgumentError("cannot aggregate a layer with fewer than 2 entities")
 
     lower_embeddings = {eid: embeddings[eid] for eid in lower.entity_ids}
-    m = num_components if num_components is not None else choose_num_components(
-        len(lower.entity_ids), params.cluster_size
-    )
-    assignment = fit_gmm(
-        lower_embeddings,
-        m,
-        seed=params.seed + new_index,
-        max_iters=params.gmm_max_iters,
-        tol=params.gmm_tol,
-        layer=lower.index,
-    )
-    if num_components is None:
-        assignment = split_oversized(
-            assignment,
-            params.cluster_size,
-            lower_embeddings,
-            seed=params.seed + new_index,
-            max_iters=params.gmm_max_iters,
-            tol=params.gmm_tol,
-        )
+    seed = params.seed + new_index
+    m = choose_num_components(len(lower.entity_ids), params.cluster_size)
+    assignment = fit_gmm(lower_embeddings, m, seed=seed)
+    # non-empty clusters ordered by smallest id, the order the aggregate ids follow
+    assignment = split_oversized(assignment, params.cluster_size, lower_embeddings, seed=seed)
 
-    clusters = sorted((sorted(c) for c in assignment.clusters if c), key=lambda c: c[0])
+    clusters = [sorted(c) for c in assignment.clusters]
     aggregate_ids = [f"agg:{new_index}:{ordinal}" for ordinal in range(len(clusters))]
-    # canonicalize the assignment to the ordering used for id generation
-    ordered_assignment = ClusterAssignment(layer=lower.index, clusters=[set(c) for c in clusters])
-    intra, evidence = bucket_relations(h, lower, ordered_assignment, aggregate_ids)
+    intra, evidence = bucket_relations(h, lower, assignment, aggregate_ids)
 
     def _gen_entity(task: tuple[list[str], list[str]]):
         members, intra_ids = task
@@ -255,18 +231,6 @@ def build_hierarchy(
         if len(h.layers) >= params.max_layers:
             break
         build_layer(h, params, embed_provider, gen_provider, embeddings, report, max_workers=max_workers)
-
-    if params.single_root and len(h.layers[-1].entity_ids) > 1 and len(h.layers) < params.max_layers:
-        build_layer(
-            h,
-            params,
-            embed_provider,
-            gen_provider,
-            embeddings,
-            report,
-            num_components=1,
-            max_workers=max_workers,
-        )
 
     for layer in h.layers:
         report.layer_entity_counts.append(len(layer.entity_ids))

@@ -41,9 +41,16 @@ REDACTED_KEYS = {"api_key", "token", "secret", "authorization"}
 def _load_provider_config(path: str | None) -> dict:
     if path is None:
         return {"embedding": {"provider": "mock"}, "generation": {"provider": "mock"}}
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
-    config.setdefault("embedding", {"provider": "mock"})
-    config.setdefault("generation", {"provider": "mock"})
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"provider config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise InvalidArgumentError(f"provider config {path} must be a JSON object")
+    for block in ("embedding", "generation"):
+        config.setdefault(block, {"provider": "mock"})
+        if not isinstance(config[block], dict):
+            raise InvalidArgumentError(f"provider config {path}: {block!r} must be a JSON object")
     return config
 
 
@@ -74,7 +81,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         max_layers=args.max_layers,
         seed=args.seed,
         stop_when_entities_leq=args.stop_at,
-        single_root=args.single_root,
     )
     entities, relations, chunks, ingest_report = store.ingest(args.input)
     h, embeddings, build_report = aggregation.build_hierarchy(
@@ -104,9 +110,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _make_bundles(h, embeddings, chunks, embed, query: str, args) -> dict:
-    seeds, sub = retrieval.retrieve(h, embeddings, query, args.top_n, embed)
-    lean = context.assemble_context(
+def _render(h, sub, seeds, chunks, args) -> context.ContextBundle:
+    """The context bundle of one subgraph, with the query/bench rendering flags."""
+    return context.assemble_context(
         h,
         sub,
         seeds,
@@ -115,17 +121,13 @@ def _make_bundles(h, embeddings, chunks, embed, query: str, args) -> dict:
         include_relations=not args.no_relations,
         include_chunks=not args.no_context,
     )
+
+
+def _make_bundles(h, embeddings, chunks, embed, query: str, args) -> tuple[context.ContextBundle, context.ContextBundle]:
+    """The lean and flat bundles of one query, on the same seeds."""
+    seeds, sub = retrieval.retrieve(h, embeddings, query, args.top_n, embed)
     flat_sub = retrieval.flat_path_retrieve(h, seeds, max_hops=args.max_hops)
-    flat = context.assemble_context(
-        h,
-        flat_sub,
-        seeds,
-        chunks,
-        top_c=args.top_c,
-        include_relations=not args.no_relations,
-        include_chunks=not args.no_context,
-    )
-    return {"seeds": seeds, "sub": sub, "lean": lean, "flat_sub": flat_sub, "flat": flat}
+    return _render(h, sub, seeds, chunks, args), _render(h, flat_sub, seeds, chunks, args)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -136,15 +138,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     seeds, sub = retrieval.retrieve(h, embeddings, args.query, args.top_n, embed)
     if args.baseline == "flat":
         sub = retrieval.flat_path_retrieve(h, seeds, max_hops=args.max_hops)
-    bundle = context.assemble_context(
-        h,
-        sub,
-        seeds,
-        chunks,
-        top_c=args.top_c,
-        include_relations=not args.no_relations,
-        include_chunks=not args.no_context,
-    )
+    bundle = _render(h, sub, seeds, chunks, args)
     if args.format == "text":
         sys.stdout.write(bundle.rendering() + "\n")
     else:
@@ -171,8 +165,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
     rows = []
     for query in queries:
-        parts = _make_bundles(h, embeddings, chunks, embed, query, args)
-        report = context.redundancy_report(parts["lean"], parts["flat"])
+        lean, flat = _make_bundles(h, embeddings, chunks, embed, query, args)
+        report = context.redundancy_report(lean, flat)
         rows.append(
             {
                 "query": query,
@@ -227,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--max-layers", type=int, default=4)
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--stop-at", type=int, default=None)
-    p_build.add_argument("--single-root", action="store_true")
     p_build.add_argument("--workers", type=int, default=1)
     p_build.add_argument("--providers", default=None, help="provider config JSON file")
     p_build.set_defaults(func=cmd_build)

@@ -2,9 +2,11 @@
 
 EM on a diagonal-covariance mixture with k-means++-style seeding, hard
 assignment by maximum responsibility, and a deterministic round-robin
-fallback for degenerate inputs. A post-pass recursively re-fits any
-cluster that exceeds the configured cluster size, so the final partition
-always respects the size cap.
+fallback for degenerate inputs. EM stops after EM_MAX_ITERS iterations or
+once the log-likelihood moves by less than EM_TOL; neither is a build
+setting. A post-pass recursively re-fits any cluster that exceeds the
+configured cluster size, so the final partition always respects the size
+cap.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 VARIANCE_FLOOR = 1e-6
+EM_MAX_ITERS = 50
+EM_TOL = 1e-4
 
 
 @dataclass
 class ClusterAssignment:
-    layer: int
     clusters: list[set[str]]
     log_likelihoods: list[float] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
 
     def labels(self) -> dict[str, int]:
         return {eid: j for j, cluster in enumerate(self.clusters) for eid in cluster}
@@ -76,21 +78,14 @@ def _log_prob(
     return -0.5 * (X2 @ inv_var.T - 2.0 * (X @ (means * inv_var).T) + const) + np.log(weights)
 
 
-def _round_robin(ids_sorted: list[str], m: int, layer: int, params: dict) -> ClusterAssignment:
+def _round_robin(ids_sorted: list[str], m: int) -> ClusterAssignment:
     clusters: list[set[str]] = [set() for _ in range(m)]
     for i, eid in enumerate(ids_sorted):
         clusters[i % m].add(eid)
-    return ClusterAssignment(layer=layer, clusters=clusters, params=dict(params, fallback="round_robin"))
+    return ClusterAssignment(clusters=clusters)
 
 
-def fit_gmm(
-    embeddings: dict[str, np.ndarray],
-    m: int,
-    seed: int = 0,
-    max_iters: int = 50,
-    tol: float = 1e-4,
-    layer: int = 0,
-) -> ClusterAssignment:
+def fit_gmm(embeddings: dict[str, np.ndarray], m: int, seed: int = 0) -> ClusterAssignment:
     """Partition entities into m clusters over their embedding vectors.
 
     Ids are sorted before seeding, so the result is invariant to input
@@ -111,18 +106,12 @@ def fit_gmm(
     if len(dims) != 1:
         raise InvalidArgumentError("embeddings have mixed dimensionality")
 
-    params = {"num_components": m, "seed": seed, "max_iters": max_iters, "tol": tol}
-
     if m == 1:
-        return ClusterAssignment(
-            layer=layer,
-            clusters=[set(ids_sorted)],
-            params=params,
-        )
+        return ClusterAssignment(clusters=[set(ids_sorted)])
 
     # degenerate input: no spread at all, EM cannot separate anything
     if np.allclose(X, X[0], atol=1e-12):
-        return _round_robin(ids_sorted, m, layer, params)
+        return _round_robin(ids_sorted, m)
 
     rng = np.random.default_rng(seed)
     means = _kmeanspp_means(X, m, rng)
@@ -132,14 +121,14 @@ def fit_gmm(
     X2 = X * X
     log_likelihoods: list[float] = []
     resp = np.full((n, m), 1.0 / m)
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         log_prob = _log_prob(X, X2, means, variances, weights)
         row_max = log_prob.max(axis=1, keepdims=True)
         log_norm = row_max[:, 0] + np.log(np.exp(log_prob - row_max).sum(axis=1))
         ll = float(log_norm.sum())
         resp = np.exp(log_prob - log_norm[:, None])
 
-        if log_likelihoods and abs(ll - log_likelihoods[-1]) < tol:
+        if log_likelihoods and abs(ll - log_likelihoods[-1]) < EM_TOL:
             log_likelihoods.append(ll)
             break
         log_likelihoods.append(ll)
@@ -159,12 +148,7 @@ def fit_gmm(
         clusters[int(lab)].add(eid)
     _repair_empty_clusters(clusters, {eid: i for i, eid in enumerate(ids_sorted)}, X)
 
-    return ClusterAssignment(
-        layer=layer,
-        clusters=clusters,
-        log_likelihoods=log_likelihoods,
-        params=params,
-    )
+    return ClusterAssignment(clusters=clusters, log_likelihoods=log_likelihoods)
 
 
 def _repair_empty_clusters(clusters: list[set[str]], row_of: dict[str, int], X: np.ndarray) -> None:
@@ -190,13 +174,11 @@ def split_oversized(
     cluster_size: int,
     embeddings: dict[str, np.ndarray],
     seed: int = 0,
-    max_iters: int = 50,
-    tol: float = 1e-4,
 ) -> ClusterAssignment:
     """Re-fit any cluster larger than cluster_size until all comply.
 
-    Output clusters are re-ordered by their smallest member id so the
-    final partition is independent of the recursion path.
+    Output clusters are non-empty and ordered by their smallest member id,
+    so the final partition is independent of the recursion path.
     """
     if cluster_size < 2:
         raise InvalidArgumentError("cluster_size must be >= 2")
@@ -208,23 +190,11 @@ def split_oversized(
             done.append(cluster)
             continue
         m = choose_num_components(len(cluster), cluster_size)
-        sub = fit_gmm(
-            {eid: embeddings[eid] for eid in cluster},
-            m,
-            seed=seed,
-            max_iters=max_iters,
-            tol=tol,
-            layer=assignment.layer,
-        )
+        sub = fit_gmm({eid: embeddings[eid] for eid in cluster}, m, seed=seed)
         produced = [c for c in sub.clusters if c]
         if len(produced) == 1:
             # EM refused to split (e.g. near-identical points); force it
-            produced = _round_robin(sorted(cluster), m, assignment.layer, {}).clusters
+            produced = _round_robin(sorted(cluster), m).clusters
         pending.extend(produced)
     done.sort(key=lambda c: min(c))
-    return ClusterAssignment(
-        layer=assignment.layer,
-        clusters=done,
-        log_likelihoods=list(assignment.log_likelihoods),
-        params=dict(assignment.params, cluster_size=cluster_size),
-    )
+    return ClusterAssignment(clusters=done, log_likelihoods=list(assignment.log_likelihoods))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvalidArgumentError
 from .model import Chunk, Hierarchy
 from .providers import count_tokens
 from .retrieval import RetrievedSubgraph, SeedSet
@@ -90,7 +91,7 @@ def assemble_context(
     entity section is byte-identical across all flag combinations.
     """
     if top_c < 0:
-        raise ValueError("top_c must be >= 0")
+        raise InvalidArgumentError(f"top_c must be >= 0, got {top_c}")
 
     entity_lines = ["# Entities"]
     ordered = sorted(sub.node_ids, key=lambda eid: (-h.entities[eid].layer, eid))

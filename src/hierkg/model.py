@@ -127,9 +127,6 @@ class BuildParams:
     seed: int = 0
     stop_when_entities_leq: int | None = None  # defaults to cluster_size
     tau_overrides: dict[int, int] = field(default_factory=dict)
-    single_root: bool = False
-    gmm_max_iters: int = 50
-    gmm_tol: float = 1e-4
 
     def __post_init__(self):
         if self.tau < 0:
@@ -152,13 +149,12 @@ class BuildParams:
             "seed": self.seed,
             "stop_when_entities_leq": self.stop_when_entities_leq,
             "tau_overrides": {str(k): v for k, v in self.tau_overrides.items()},
-            "single_root": self.single_root,
-            "gmm_max_iters": self.gmm_max_iters,
-            "gmm_tol": self.gmm_tol,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BuildParams":
+        """Read the keys to_dict writes; any other key is ignored, such as the
+        single_root, gmm_max_iters and gmm_tol of older manifests."""
         return cls(
             cluster_size=d["cluster_size"],
             tau=d["tau"],
@@ -166,9 +162,6 @@ class BuildParams:
             seed=d["seed"],
             stop_when_entities_leq=d.get("stop_when_entities_leq"),
             tau_overrides={int(k): v for k, v in d.get("tau_overrides", {}).items()},
-            single_root=d.get("single_root", False),
-            gmm_max_iters=d.get("gmm_max_iters", 50),
-            gmm_tol=d.get("gmm_tol", 1e-4),
         )
 
 
@@ -226,13 +219,6 @@ class Hierarchy:
             chain.append(current)
             seen.add(current)
         return chain
-
-    def entities_of_cluster(self, aggregate_id: str) -> set[str]:
-        """Children of one aggregate (the cluster it was generated from)."""
-        agg = self.entity(aggregate_id)
-        if agg.layer < 1:
-            raise InvalidArgumentError(f"{aggregate_id} is a layer-0 entity, not an aggregate")
-        return {eid for eid, pid in self.parent_map.items() if pid == aggregate_id}
 
 
 class EmbeddingTable(Mapping[str, np.ndarray]):

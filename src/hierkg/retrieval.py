@@ -92,6 +92,11 @@ def anchor_seeds(
     if embeddings.ids[: len(ids0)] != ids0:
         raise InvalidArgumentError("embedding table rows do not start with the layer-0 ids of the hierarchy")
     qvec = embed_provider.embed_batch([query])[0]
+    dim = embeddings.matrix.shape[1]
+    if qvec.shape != (dim,):
+        raise InvalidArgumentError(
+            f"query vector has shape {qvec.shape}, the index embeddings have dimension {dim}"
+        )
     # score the layer-0 rows on their own: a mat-vec over all N rows can
     # round differently in the last bits, as BLAS blocks rows by position
     scores = embeddings.matrix[: len(ids0)] @ qvec  # all vectors unit-length, so dot == cosine
@@ -103,19 +108,6 @@ def anchor_seeds(
     order = sorted(candidates, key=lambda i: (-scores[i], ids0[i]))[:n]
     entries = [(ids0[i], float(scores[i])) for i in order]
     return SeedSet(query=query, entries=entries, n=n)
-
-
-def lowest_common_ancestor(h: Hierarchy, a: str, b: str) -> str | None:
-    """The common ancestor minimizing the combined chain length from a and b.
-
-    Walking a's chain upward, the first node also on b's chain is exactly
-    that ancestor; None when the two chains never meet.
-    """
-    chain_b = set(h.ancestors(b))
-    for node in h.ancestors(a):
-        if node in chain_b:
-            return node
-    return None
 
 
 def lca_paths(

@@ -8,6 +8,7 @@ import random
 from pathlib import Path
 
 from hierkg.model import Chunk, Entity, GraphLayer, Hierarchy, Relation
+from hierkg.retrieval import SeedSet, lca_paths
 
 WORDS = [
     "alloy", "basin", "cipher", "delta", "ember", "fjord", "glacier", "harbor",
@@ -221,3 +222,17 @@ def write_ingest_jsonl(path: Path, entities, relations, chunks) -> None:
                 )
                 + "\n"
             )
+
+
+def pair_lca(h: Hierarchy, a: str, b: str) -> str | None:
+    """The lowest common ancestor lca_paths picks for the two seeds a and b.
+
+    None when their chains end at different roots: lca_paths then keeps
+    two one-seed groups, each with its full chain.
+    """
+    _, lca_nodes = lca_paths(h, SeedSet(query="pair", entries=[(a, 1.0), (b, 0.0)], n=2))
+    if len(lca_nodes) == 2:
+        return None
+    (group, lca), = lca_nodes
+    assert group == [a, b]
+    return lca

@@ -2,11 +2,7 @@ import random
 
 import pytest
 
-from hierkg.aggregation import (
-    bucket_relations,
-    build_hierarchy,
-    intra_cluster_relations,
-)
+from hierkg.aggregation import bucket_relations, build_hierarchy
 from hierkg.clustering import ClusterAssignment
 from hierkg.errors import InvalidArgumentError
 from hierkg.model import (
@@ -30,6 +26,16 @@ def layer0_hierarchy(entities, relations):
         relations=dict(relations),
         layers=[GraphLayer(index=0, entity_ids=set(entities), relation_ids=set(relations))],
     )
+
+
+def intra_cluster_relations(h, layer, cluster):
+    """Reference scan: relation ids of the layer with both endpoints inside the cluster."""
+    out = []
+    for rid in sorted(layer.relation_ids):
+        r = h.relations[rid]
+        if r.source_id in cluster and r.target_id in cluster:
+            out.append(rid)
+    return out
 
 
 def simple_graph(edge_pairs, n=6):
@@ -70,7 +76,7 @@ class TestConnectivityMatrix:
     def test_no_crossing_edges(self):
         entities, relations = simple_graph([("e0", "e1"), ("e2", "e3")], n=4)
         h = layer0_hierarchy(entities, relations)
-        assignment = ClusterAssignment(layer=0, clusters=[{"e0", "e1"}, {"e2", "e3"}])
+        assignment = ClusterAssignment(clusters=[{"e0", "e1"}, {"e2", "e3"}])
         assert bucket_relations(h, h.layers[0], assignment, ["a", "b"])[1] == []
 
     def test_bipartite_k22(self):
@@ -78,7 +84,7 @@ class TestConnectivityMatrix:
             [("e0", "e2"), ("e0", "e3"), ("e1", "e2"), ("e1", "e3")], n=4
         )
         h = layer0_hierarchy(entities, relations)
-        assignment = ClusterAssignment(layer=0, clusters=[{"e0", "e1"}, {"e2", "e3"}])
+        assignment = ClusterAssignment(clusters=[{"e0", "e1"}, {"e2", "e3"}])
         evidence = bucket_relations(h, h.layers[0], assignment, ["a", "b"])[1]
         assert len(evidence) == 1
         assert evidence[0].strength == 4
@@ -96,7 +102,7 @@ class TestConnectivityMatrix:
         h = layer0_hierarchy(entities, relations)
         ids = sorted(entities)
         clusters = [set(ids[i::4]) for i in range(4)]
-        assignment = ClusterAssignment(layer=0, clusters=clusters)
+        assignment = ClusterAssignment(clusters=clusters)
         evidence = bucket_relations(h, h.layers[0], assignment, ["a0", "a1", "a2", "a3"])[1]
         crossing_total = sum(ev.strength for ev in evidence)
         intra_total = sum(
@@ -118,7 +124,7 @@ class TestBucketRelations:
         for eid in sorted(entities):
             if rng.random() < 0.9:
                 clusters[rng.randrange(k)].add(eid)
-        assignment = ClusterAssignment(layer=0, clusters=clusters)
+        assignment = ClusterAssignment(clusters=clusters)
         aggregate_ids = [f"agg:1:{j}" for j in range(k)]
 
         intra, evidence = bucket_relations(h, layer, assignment, aggregate_ids)
@@ -287,14 +293,6 @@ class TestBuildHierarchy:
                     else RelationKind.INTER_CLUSTER_CONCATENATED
                 )
                 assert r.kind == expected
-
-    def test_single_root_flag(self, embed_provider, gen_provider):
-        rng = random.Random(6)
-        entities, relations, _ = make_layer0(rng, 30, avg_degree=3)
-        params = BuildParams(cluster_size=5, seed=0, stop_when_entities_leq=5, single_root=True)
-        h, _, _ = build_hierarchy(entities, relations, params, embed_provider, gen_provider)
-        assert len(h.layers[-1].entity_ids) == 1
-        assert validate_hierarchy(h) == []
 
     def test_per_layer_tau_override(self, embed_provider, gen_provider):
         params = BuildParams(tau=3, tau_overrides={2: 7})

@@ -80,6 +80,12 @@ class TestBuild:
         capsys.readouterr()
         assert code == EXIT_USAGE
 
+    def test_single_root_flag_is_gone(self, tmp_path, ingest_file, capsys):
+        code = main(["build", "--input", str(ingest_file), "--out", str(tmp_path / "o"), "--single-root"])
+        capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
+
 
 class TestQuery:
     def test_default_json_output(self, built_index, capsys):
@@ -153,6 +159,41 @@ class TestQuery:
         assert code == EXIT_USAGE
         assert posts == []
 
+    def test_negative_top_c_is_usage_error(self, built_index, capsys):
+        code = main(["query", "--index", str(built_index), "--query", "glacier summit", "--top-c", "-1"])
+        capsys.readouterr()
+        assert code == EXIT_USAGE
+
+    def test_query_dim_differs_from_index_is_usage_error(self, built_index, tmp_path, capsys, caplog):
+        config = tmp_path / "providers.json"
+        config.write_text(json.dumps({"embedding": {"provider": "mock", "dim": 64}}))
+        code = main(["query", "--index", str(built_index), "--query", "glacier summit", "--providers", str(config)])
+        assert capsys.readouterr().out == ""
+        assert code == EXIT_USAGE
+        assert "(64,)" in caplog.text and "dimension 256" in caplog.text
+
+
+class TestProviderConfigFile:
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[]", '{"embedding": ["mock"]}', '{"generation": null}'],
+        ids=["invalid-json", "list", "embedding-list", "generation-null"],
+    )
+    @pytest.mark.parametrize("command", ["build", "query", "bench"])
+    def test_malformed_config_is_usage_error(self, built_index, ingest_file, tmp_path, capsys, text, command):
+        config = tmp_path / "providers.json"
+        config.write_text(text)
+        queries = tmp_path / "queries.txt"
+        queries.write_text("glacier summit\n")
+        argv = {
+            "build": ["build", "--input", str(ingest_file), "--out", str(tmp_path / "o")],
+            "query": ["query", "--index", str(built_index), "--query", "glacier summit"],
+            "bench": ["bench", "--index", str(built_index), "--queries", str(queries)],
+        }[command]
+        code = main(argv + ["--providers", str(config)])
+        assert capsys.readouterr().out == ""
+        assert code == EXIT_USAGE
+
 
 class TestBench:
     def test_empty_queries_file(self, built_index, tmp_path, capsys):
@@ -210,6 +251,13 @@ class TestBench:
             str(expected["baseline_tokens"]),
             f"{expected['ratio']:.6f}",
         ]
+
+    def test_negative_top_c_is_usage_error(self, built_index, tmp_path, capsys):
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("meadow nebula\n")
+        code = main(["bench", "--index", str(built_index), "--queries", str(qfile), "--top-c", "-1"])
+        assert capsys.readouterr().out == ""
+        assert code == EXIT_USAGE
 
     def test_missing_queries_file_is_data_error(self, built_index, tmp_path, capsys):
         code = main(["bench", "--index", str(built_index), "--queries", str(tmp_path / "none.txt")])

@@ -189,7 +189,7 @@ class TestSplitOversized:
     def test_oversized_cluster_is_split(self):
         rng = np.random.default_rng(6)
         embeddings = {f"e{i:02d}": rng.normal(size=8) for i in range(45)}
-        assignment = ClusterAssignment(layer=0, clusters=[set(embeddings)])
+        assignment = ClusterAssignment(clusters=[set(embeddings)])
         out = split_oversized(assignment, 20, embeddings, seed=1)
         assert len(out.clusters) >= 3
         assert all(1 <= len(c) <= 20 for c in out.clusters)
@@ -198,7 +198,7 @@ class TestSplitOversized:
 
     def test_identical_embeddings_round_robin_split(self):
         embeddings = {f"e{i:02d}": np.ones(4) for i in range(45)}
-        assignment = ClusterAssignment(layer=0, clusters=[set(embeddings)])
+        assignment = ClusterAssignment(clusters=[set(embeddings)])
         out = split_oversized(assignment, 20, embeddings, seed=0)
         assert len(out.clusters) == 3
         assert all(len(c) <= 20 for c in out.clusters)
@@ -206,7 +206,7 @@ class TestSplitOversized:
     def test_repeated_split_deterministic(self):
         rng = np.random.default_rng(8)
         embeddings = {f"e{i:03d}": rng.normal(size=8) for i in range(120)}
-        assignment = ClusterAssignment(layer=0, clusters=[set(embeddings)])
+        assignment = ClusterAssignment(clusters=[set(embeddings)])
         a = split_oversized(assignment, 20, embeddings, seed=3)
         b = split_oversized(assignment, 20, embeddings, seed=3)
         assert a.clusters == b.clusters

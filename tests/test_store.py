@@ -241,6 +241,22 @@ class TestIndexRoundTrip:
             load_index(directory)
         assert "format_version" in str(exc.value)
 
+    def test_manifest_with_retired_build_keys_loads(self, tmp_path, capsys):
+        h, _, _, directory, manifest = build_small_index(tmp_path)
+        mpath = directory / "manifest.json"
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        retired = {"single_root": False, "gmm_max_iters": 50, "gmm_tol": 1e-4}
+        assert not set(retired) & set(doc["build_params"])
+        # every manifest saved before these build settings were dropped has them;
+        # the content hash covers only the shards, so no rehash is needed
+        doc["build_params"].update(retired)
+        mpath.write_text(json.dumps(doc), encoding="utf-8")
+        h2, _, _, manifest2 = load_index(directory)
+        assert manifest2.content_hash == manifest.content_hash
+        assert h2.build_params.to_dict() == h.build_params.to_dict()
+        assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 0
+        assert json.loads(capsys.readouterr().out)["seeds"]["entries"]
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StoreError):
             load_index(tmp_path / "nowhere")
