@@ -30,7 +30,10 @@ class RelationKind(str, Enum):
 _KIND_BY_VALUE = {kind.value: kind for kind in RelationKind}
 
 
-@dataclass
+# A load builds one Entity, Relation or Chunk per stored row. Slots make
+# each object smaller and cheaper to create, and from_dict passes its
+# arguments positionally: a keyword call into __init__ costs about twice as much.
+@dataclass(slots=True)
 class Entity:
     id: str
     name: str
@@ -49,16 +52,10 @@ class Entity:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Entity":
-        return cls(
-            id=d["id"],
-            name=d["name"],
-            description=d["description"],
-            layer=d["layer"],
-            source_chunk_ids=list(d.get("source_chunk_ids", [])),
-        )
+        return cls(d["id"], d["name"], d["description"], d["layer"], list(d.get("source_chunk_ids", [])))
 
 
-@dataclass
+@dataclass(slots=True)
 class Relation:
     id: str
     source_id: str
@@ -82,17 +79,10 @@ class Relation:
         kind = _KIND_BY_VALUE.get(d["kind"])
         if kind is None:
             raise ValueError(f"{d['kind']!r} is not a valid RelationKind")
-        return cls(
-            id=d["id"],
-            source_id=d["source_id"],
-            target_id=d["target_id"],
-            description=d["description"],
-            layer=d["layer"],
-            kind=kind,
-        )
+        return cls(d["id"], d["source_id"], d["target_id"], d["description"], d["layer"], kind)
 
 
-@dataclass
+@dataclass(slots=True)
 class Chunk:
     id: str
     text: str
@@ -109,7 +99,7 @@ class Chunk:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chunk":
-        return cls(id=d["id"], text=d["text"], doc_id=d["doc_id"], token_count=d["token_count"])
+        return cls(d["id"], d["text"], d["doc_id"], d["token_count"])
 
 
 @dataclass
@@ -232,10 +222,14 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
 
     __slots__ = ("ids", "matrix", "_row")
 
-    def __init__(self, ids: Iterable[str], matrix: np.ndarray):
-        """Take ownership of matrix, a C-contiguous <f8 (N, d) array, and make it read-only."""
+    def __init__(self, ids: Iterable[str], matrix: np.ndarray, row: dict[str, int] | None = None):
+        """Take ownership of matrix, a C-contiguous <f8 (N, d) array, and make it read-only.
+
+        row, when given, is {id: i for i, id in enumerate(ids)}, already
+        built by the caller; the table keeps it instead of building it again.
+        """
         self.ids = tuple(ids)
-        self._row = {eid: i for i, eid in enumerate(self.ids)}
+        self._row = {eid: i for i, eid in enumerate(self.ids)} if row is None else row
         if len(self._row) != len(self.ids):
             raise InvalidArgumentError("embedding table ids are not unique")
         if matrix.dtype != np.dtype("<f8") or matrix.ndim != 2 or not matrix.flags.c_contiguous:

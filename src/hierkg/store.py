@@ -15,9 +15,12 @@ A load reads each shard from disk once and verifies the content hash
 over those bytes before it parses any row. It fails closed with
 StoreError (CLI exit 3) on a hash mismatch, a malformed manifest or
 row, row, embedding or dimension counts that disagree with the
-manifest, an entity id that repeats, an entity whose layer field
-differs from its shard, or a parent_id or relation endpoint naming no
-loaded entity. It returns the
+manifest, an entity, relation or chunk id that repeats, an entity or
+relation whose layer field differs from its shard, a parent_id naming
+no loaded entity, or a relation endpoint naming no entity of the
+relation's own layer. Each entity and relation shard is turned into
+model objects in one pass over its rows, with the cyclic garbage
+collector paused for the whole load. It returns the
 vectors as one EmbeddingTable whose rows are laid out layer by layer,
 layer 0 first, each layer in sorted-id order; the disk order stays
 sorted by id, so the saved bytes and the content hash do not depend on
@@ -26,10 +29,12 @@ the table's layout.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import struct
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -340,11 +345,18 @@ def load_index(
 
     The version and the content hash over the bytes read are verified
     before any row is parsed; row, layer and embedding counts must then
-    match the manifest, and every parent_id and relation endpoint must
-    name a loaded entity. Anything else raises StoreError. The vectors
+    match the manifest, ids must not repeat, every parent_id must name a
+    loaded entity and every relation endpoint an entity of the relation's
+    layer. Anything else raises StoreError. The vectors
     come back as an EmbeddingTable in layer order (EmbeddingTable.row_order).
     """
-    directory = Path(directory)
+    # a load makes tens of thousands of objects and no reference cycles, so
+    # collections during it would only re-scan live objects
+    with _gc_paused():
+        return _load_index(Path(directory))
+
+
+def _load_index(directory: Path) -> tuple[Hierarchy, EmbeddingTable, dict[str, Chunk], IndexManifest]:
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise StoreError(f"no manifest at {manifest_path}")
@@ -375,62 +387,114 @@ def load_index(
 
     # every entity is loaded before any reference to one is checked
     h = Hierarchy(build_params=build_params)
+    entities, parent_map = h.entities, h.parent_map
     for index, n_entities, _ in layer_counts:
-        layer = GraphLayer(index=index)
         name = f"entities_{index}.jsonl"
         rows = _parse_jsonl(shards, name, n_entities)
+        loaded = len(entities)
         try:
             for row in rows:
                 e = Entity.from_dict(row)
-                if not isinstance(e.id, str) or e.id in h.entities:
+                if not isinstance(e.id, str):
                     raise StoreError(f"{name}: entity id {e.id!r} is not a string or appears twice")
                 if e.layer != index:
                     raise StoreError(f"{name}: entity {e.id!r} declares layer {e.layer!r}")
-                h.entities[e.id] = e
-                layer.entity_ids.add(e.id)
-                if row.get("parent_id") is not None:
-                    h.parent_map[e.id] = row["parent_id"]
+                entities[e.id] = e
+                parent = row.get("parent_id")
+                if parent is not None:
+                    parent_map[e.id] = parent
         except _ROW_ERRORS as exc:
             raise _malformed(name, row, exc) from None
+        if len(entities) != loaded + len(rows):
+            repeated = _repeated_id(rows, [layer.entity_ids for layer in h.layers])
+            raise StoreError(f"{name}: entity id {repeated!r} is not a string or appears twice")
+        h.layers.append(GraphLayer(index, {row["id"] for row in rows}))
         del rows  # free this shard's rows before the next one is parsed
-        h.layers.append(layer)
-    for child, parent in h.parent_map.items():
-        if not isinstance(parent, str) or parent not in h.entities:
+    for child, parent in parent_map.items():
+        if not isinstance(parent, str) or parent not in entities:
             raise StoreError(
-                f"entities_{h.entities[child].layer}.jsonl: entity {child!r} names parent {parent!r}, which is not in the index"
+                f"entities_{entities[child].layer}.jsonl: entity {child!r} names parent {parent!r}, which is not in the index"
             )
 
-    entities = h.entities
+    relations = h.relations
     for layer, (index, _, n_relations) in zip(h.layers, layer_counts):
         name = f"relations_{index}.jsonl"
         rows = _parse_jsonl(shards, name, n_relations)
+        loaded = len(relations)
+        ends = layer.entity_ids  # both endpoints lie on the relation's own layer
         try:
             for row in rows:
                 r = Relation.from_dict(row)
-                if r.source_id not in entities or r.target_id not in entities:
-                    raise StoreError(
-                        f"{name}: relation {r.id!r} names an endpoint that is not in the index: "
-                        f"{r.source_id!r} -> {r.target_id!r}"
-                    )
-                h.relations[r.id] = r
-                layer.relation_ids.add(r.id)
+                if r.layer != index:
+                    raise StoreError(f"{name}: relation {r.id!r} declares layer {r.layer!r}")
+                if r.source_id not in ends or r.target_id not in ends:
+                    raise _endpoint_error(name, r, entities)
+                relations[r.id] = r
         except _ROW_ERRORS as exc:
             raise _malformed(name, row, exc) from None
+        if len(relations) != loaded + len(rows):
+            # the layers not loaded yet, this one included, still hold no relation ids
+            repeated = _repeated_id(rows, [other.relation_ids for other in h.layers])
+            raise StoreError(f"{name}: relation id {repeated!r} appears twice")
+        layer.relation_ids = {row["id"] for row in rows}
         del rows
 
     chunks: dict[str, Chunk] = {}
     rows = _parse_jsonl(shards, "chunks.jsonl")
     try:
         for row in rows:
-            chunks[row["id"]] = Chunk.from_dict(row)
+            c = Chunk.from_dict(row)
+            chunks[c.id] = c
     except _ROW_ERRORS as exc:
         raise _malformed("chunks.jsonl", row, exc) from None
+    if len(chunks) != len(rows):
+        raise StoreError(f"chunks.jsonl: chunk id {_repeated_id(rows, [])!r} appears twice")
 
+    # one id -> row dict serves both the shard reader and the table
     ids = EmbeddingTable.row_order(h)
-    matrix, dim = _read_embeddings(shards.pop("embeddings.bin"), {eid: i for i, eid in enumerate(ids)})
+    row_of = {eid: i for i, eid in enumerate(ids)}
+    matrix, dim = _read_embeddings(shards.pop("embeddings.bin"), row_of)
     if dim != manifest.embedding_dim:
         raise StoreError(f"embeddings.bin: dim {dim}, manifest says {manifest.embedding_dim}")
-    return h, EmbeddingTable(ids, matrix), chunks, manifest
+    return h, EmbeddingTable(ids, matrix, row_of), chunks, manifest
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring its previous state on exit.
+
+    Collections that allocations would trigger meanwhile only re-scan live
+    objects; the objects made while paused are scanned once, at the next
+    collection. The switch is process-wide, so another thread that turns
+    the collector off during the pause sees it turned back on at the end.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _repeated_id(rows: list[dict], earlier: list[set]) -> object:
+    """The first row id that an earlier row or one of the earlier id sets holds."""
+    seen = set().union(*earlier)
+    for row in rows:
+        if row["id"] in seen:
+            return row["id"]
+        seen.add(row["id"])
+    return None
+
+
+def _endpoint_error(name: str, r: Relation, entities: dict[str, Entity]) -> StoreError:
+    if r.source_id in entities and r.target_id in entities:
+        where = f"not a layer-{r.layer} entity"
+    else:
+        where = "not in the index"
+    return StoreError(
+        f"{name}: relation {r.id!r} names an endpoint that is {where}: {r.source_id!r} -> {r.target_id!r}"
+    )
 
 
 def _malformed(name: str, row: object, exc: Exception) -> StoreError:

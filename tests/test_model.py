@@ -141,3 +141,18 @@ def test_chunk_roundtrip():
 def test_relation_roundtrip():
     r = Relation(id="r1", source_id="a", target_id="b", description="x", layer=0)
     assert Relation.from_dict(r.to_dict()) == r
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        Entity(id="e0", name="E0", description="leaf", layer=0, source_chunk_ids=["c0"]),
+        Relation(id="r1", source_id="a", target_id="b", description="x", layer=0),
+        Chunk(id="c1", text="a b c", doc_id="d", token_count=3),
+    ],
+    ids=["entity", "relation", "chunk"],
+)
+def test_undeclared_attribute_rejected(obj):
+    # slotted: a stray attribute, such as the retired Entity.parent_id, cannot be set
+    with pytest.raises(AttributeError):
+        obj.parent_id = "a1"

@@ -1,4 +1,5 @@
 import builtins
+import gc
 import hashlib
 import io
 import json
@@ -30,6 +31,7 @@ from hierkg.store import (
     load_index,
     save_index,
 )
+from hierkg import store
 from hierkg.aggregation import build_hierarchy
 from hierkg.providers import MockEmbeddingProvider, MockGenerationProvider
 
@@ -171,8 +173,9 @@ class TestIndexRoundTrip:
         assert set(chunks2) == set(chunks)
         assert h2.build_params.to_dict() == h.build_params.to_dict()
         assert validate_hierarchy(h2) == []
-        for eid, e in h.entities.items():
-            assert h2.entities[eid].to_dict() == e.to_dict()
+        # equal objects in the same dict order: layer by layer, each layer in sorted-id order
+        assert list(h2.entities.items()) == list(h.entities.items())
+        assert list(h2.relations.items()) == list(h.relations.items())
 
     def test_entity_rows_carry_parent_id(self, tmp_path):
         # the on-disk format keeps one parent_id per entity row
@@ -329,6 +332,20 @@ def repeat_first_id(rows):
     rows[1]["id"] = rows[0]["id"]
 
 
+def set_first_id_of_layer0(rows):
+    # r00000 is the first relation of relations_0.jsonl
+    rows[0]["id"] = "r00000"
+
+
+def set_first_layer_one(rows):
+    rows[0]["layer"] = 1
+
+
+def set_first_source_layer0(rows):
+    # e0000 is a layer-0 entity (tests/helpers.py::make_layer0)
+    rows[0]["source_id"] = "e0000"
+
+
 class TestLoadFailsClosed:
     """Shards that pass the hash check but disagree with the format or the
     manifest raise StoreError naming the shard; the CLI exits 3."""
@@ -343,6 +360,11 @@ class TestLoadFailsClosed:
             ("relations_0.jsonl", set_first_target_ghost),
             ("entities_1.jsonl", set_first_layer_zero),
             ("entities_1.jsonl", repeat_first_id),
+            ("relations_0.jsonl", repeat_first_id),
+            ("relations_1.jsonl", set_first_id_of_layer0),
+            ("relations_0.jsonl", set_first_layer_one),
+            ("relations_1.jsonl", set_first_source_layer0),
+            ("chunks.jsonl", repeat_first_id),
         ],
         ids=[
             "entity-row-not-object",
@@ -352,6 +374,11 @@ class TestLoadFailsClosed:
             "dangling-relation-endpoint",
             "entity-layer-differs-from-shard",
             "entity-id-twice",
+            "relation-id-twice",
+            "relation-id-in-two-shards",
+            "relation-layer-differs-from-shard",
+            "relation-endpoint-on-other-layer",
+            "chunk-id-twice",
         ],
     )
     def test_malformed_row(self, tmp_path, caplog, shard, edit):
@@ -486,3 +513,29 @@ def test_load_reads_each_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(builtins, "open", counting_open)
     load_index(directory)
     assert reads == Counter(os.listdir(directory))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_pauses_and_restores_gc(tmp_path, monkeypatch, enabled):
+    # the cyclic collector is off while a load builds objects; a load, failed
+    # or not, leaves it as it found it
+    _, _, _, directory, _ = build_small_index(tmp_path)
+    seen = []
+    real_read_embeddings = store._read_embeddings
+
+    def read_embeddings(*args):
+        seen.append(gc.isenabled())
+        return real_read_embeddings(*args)
+
+    monkeypatch.setattr(store, "_read_embeddings", read_embeddings)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_index(directory)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        with pytest.raises(StoreError):
+            load_index(tmp_path / "nowhere")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
