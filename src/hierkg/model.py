@@ -9,7 +9,6 @@ entity vectors live in one EmbeddingTable, in layer order.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -163,10 +162,12 @@ class Hierarchy:
     live at that level. parent_map (child id -> parent id) is the only
     record of parent links; top-layer entities have no entry.
 
-    layer0_ids and relations_by_entity are query-time views computed on
-    first access and then frozen: do not mutate a hierarchy after it has
-    been queried, or later queries read the stale views. Build, store and
-    validation never touch them.
+    layer0_ids, neighbours and parallel_relations are query-time views
+    computed on first access and then frozen: do not mutate a hierarchy
+    after it has been queried, or later queries read the stale views.
+    Build, store and validation never touch them. The neighbour views
+    assume what validate_hierarchy checks and load_index enforces: every
+    relation endpoint is an entity, on the relation's own layer.
     """
 
     entities: dict[str, Entity] = field(default_factory=dict)
@@ -187,14 +188,35 @@ class Hierarchy:
         return tuple(sorted(self.layers[0].entity_ids))
 
     @cached_property
-    def relations_by_entity(self) -> dict[str, list[str]]:
-        """Entity id -> ids of the stored relations with that entity as an endpoint."""
-        index: defaultdict[str, list[str]] = defaultdict(list)
+    def neighbours(self) -> dict[str, dict[str, str]]:
+        """Entity id -> {neighbour id: id of the first stored relation joining the two}.
+
+        Every entity has a row, empty when no relation touches it, and a
+        relation is listed under both of its endpoints. The other relations
+        joining the same pair are in parallel_relations.
+        """
+        return self._neighbour_views[0]
+
+    @cached_property
+    def parallel_relations(self) -> dict[str, list[str]]:
+        """First relation id of a pair (as in neighbours) -> ids of the other
+        relations joining the same pair; a pair joined once has no entry."""
+        return self._neighbour_views[1]
+
+    @cached_property
+    def _neighbour_views(self) -> tuple[dict[str, dict[str, str]], dict[str, list[str]]]:
+        """neighbours and parallel_relations, built in one pass over the relations."""
+        neighbours: dict[str, dict[str, str]] = {eid: {} for eid in self.entities}
+        parallel: dict[str, list[str]] = {}
         for rid, r in self.relations.items():
-            index[r.source_id].append(rid)
-            if r.target_id != r.source_id:
-                index[r.target_id].append(rid)
-        return dict(index)
+            a, b = r.source_id, r.target_id
+            first = neighbours[a].setdefault(b, rid)
+            # relation ids are unique, so rid comes back only for a new pair
+            if first is rid:
+                neighbours[b][a] = rid
+            else:
+                parallel.setdefault(first, []).append(rid)
+        return neighbours, parallel
 
     def ancestors(self, entity_id: str) -> list[str]:
         """Chain from the entity up to its topmost ancestor, inclusive."""

@@ -10,10 +10,17 @@ resulting subgraph picks up layer-0 relations between co-retrieved seeds
 plus stored same-layer inter-cluster relations among retrieved
 aggregates. A flat shortest-path BFS over layer 0 is kept as the
 redundancy baseline.
+
+Both paths find relations through Hierarchy.neighbours (with
+parallel_relations), built once on the first query: the subgraph
+intersects each retrieved node's neighbours with the node set and reads
+only the relations it keeps, and the BFS walks neighbour keys without
+reading any relation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,18 +179,12 @@ def assemble_subgraph(
     for chain in paths:
         node_ids.update(chain)
 
-    layer0_nodes = {eid for eid in node_ids if h.entities[eid].layer == 0}
-    touching = {rid for eid in node_ids for rid in h.relations_by_entity.get(eid, ())}
+    # a relation joins two entities of its own layer, so the relations with
+    # both endpoints retrieved split into the two lists by their layer alone
     path_relations: list[str] = []
     inter_cluster: list[str] = []
-    for rid in sorted(touching):
-        r = h.relations[rid]
-        if r.layer == 0:
-            if r.source_id in layer0_nodes and r.target_id in layer0_nodes:
-                path_relations.append(rid)
-        else:
-            if r.source_id in node_ids and r.target_id in node_ids:
-                inter_cluster.append(rid)
+    for rid in sorted(_relations_joining(h, node_ids, node_ids)):
+        (path_relations if h.relations[rid].layer == 0 else inter_cluster).append(rid)
     return RetrievedSubgraph(
         node_ids=node_ids,
         path_relations=path_relations,
@@ -207,12 +208,31 @@ def retrieve(
     return seeds, sub
 
 
-def _bfs_layers(edges_of, start: str, depth: int) -> list[set[str]]:
+def _relations_joining(h: Hierarchy, sources: Iterable[str], targets: set[str]) -> set[str]:
+    """Ids of the stored relations joining a node of sources to a node of targets."""
+    neighbours = h.neighbours
+    found: set[str] = set()
+    for u in sources:
+        row = neighbours[u]
+        found.update(row[v] for v in row.keys() & targets)
+    parallel = h.parallel_relations
+    if parallel:
+        for rid in [rid for rid in found if rid in parallel]:
+            found.update(parallel[rid])
+    return found
+
+
+def _reach(neighbours: dict[str, dict[str, str]], nodes: Iterable[str]) -> set[str]:
+    """Every node one relation away from a node of nodes."""
+    return set().union(*map(neighbours.__getitem__, nodes))
+
+
+def _bfs_layers(neighbours: dict[str, dict[str, str]], start: str, depth: int) -> list[set[str]]:
     """Nodes by hop distance from start, up to depth: layers[k] holds those exactly k hops away."""
     layers = [{start}]
     seen = {start}
     while len(layers) <= depth:
-        frontier = {v for node in layers[-1] for v, _ in edges_of(node)} - seen
+        frontier = _reach(neighbours, layers[-1]) - seen
         if not frontier:
             break
         layers.append(frontier)
@@ -221,7 +241,7 @@ def _bfs_layers(edges_of, start: str, depth: int) -> list[set[str]]:
 
 
 def _shortest_path_layers(
-    edges_of, ball_a: list[set[str]], ball_b: list[set[str]], max_hops: int
+    neighbours: dict[str, dict[str, str]], ball_a: list[set[str]], ball_b: list[set[str]], max_hops: int
 ) -> list[set[str]] | None:
     """Nodes on the shortest a-b paths of length <= max_hops, by distance from a.
 
@@ -242,9 +262,9 @@ def _shortest_path_layers(
     path = {mid: shell(ball_a, mid) & shell(ball_b, d - mid)}
     # a neighbour of path[k - 1] at distance d - k from b is at distance k from a
     for k in range(mid + 1, d + 1):
-        path[k] = shell(ball_b, d - k) & {v for u in path[k - 1] for v, _ in edges_of(u)}
+        path[k] = shell(ball_b, d - k) & _reach(neighbours, path[k - 1])
     for k in range(mid - 1, -1, -1):
-        path[k] = shell(ball_a, k) & {v for u in path[k + 1] for v, _ in edges_of(u)}
+        path[k] = shell(ball_a, k) & _reach(neighbours, path[k + 1])
     return [path[k] for k in range(d + 1)]
 
 
@@ -258,36 +278,22 @@ def flat_path_retrieve(
     """
     if max_hops < 1:
         raise InvalidArgumentError("max_hops must be >= 1")
-    layer0_relations = h.layers[0].relation_ids
-    edges: dict[str, list[tuple[str, str]]] = {}
-
-    def edges_of(node: str) -> list[tuple[str, str]]:
-        """(neighbour, relation id) for each layer-0 relation of node, looked up on first use."""
-        if node not in edges:
-            out = []
-            for rid in h.relations_by_entity.get(node, ()):
-                if rid in layer0_relations:
-                    r = h.relations[rid]
-                    out.append((r.target_id if r.source_id == node else r.source_id, rid))
-            edges[node] = out
-        return edges[node]
-
+    # every neighbour of a layer-0 entity is a layer-0 entity, joined by a layer-0 relation
+    neighbours = h.neighbours
     seed_ids = seeds.entity_ids
     radius = (max_hops + 1) // 2
-    balls = {eid: _bfs_layers(edges_of, eid, radius) for eid in seed_ids}
+    balls = {eid: _bfs_layers(neighbours, eid, radius) for eid in seed_ids}
     node_ids: set[str] = set(seed_ids)
     relation_ids: set[str] = set()
     for i, a in enumerate(seed_ids):
         for b in seed_ids[i + 1 :]:
-            path = _shortest_path_layers(edges_of, balls[a], balls[b], max_hops)
+            path = _shortest_path_layers(neighbours, balls[a], balls[b], max_hops)
             if path is None:
                 continue
             node_ids.update(*path)
             # a relation lies on a shortest path when it joins consecutive layers of it
             for k in range(len(path) - 1):
-                relation_ids.update(
-                    rid for u in path[k] for v, rid in edges_of(u) if v in path[k + 1]
-                )
+                relation_ids |= _relations_joining(h, path[k], path[k + 1])
     return RetrievedSubgraph(
         node_ids=node_ids,
         path_relations=sorted(relation_ids),

@@ -15,13 +15,13 @@ A load reads each shard from disk once and verifies the content hash
 over those bytes before it parses any row. It fails closed with
 StoreError (CLI exit 3) on a hash mismatch, a malformed manifest or
 row, row, embedding or dimension counts that disagree with the
-manifest, an entity, relation or chunk id that repeats, an entity or
-relation whose layer field differs from its shard, a parent_id naming
-no loaded entity, or a relation endpoint naming no entity of the
-relation's own layer. Each entity and relation shard is turned into
-model objects in one pass over its rows, with the cyclic garbage
-collector paused for the whole load. It returns the
-vectors as one EmbeddingTable whose rows are laid out layer by layer,
+manifest, an entity, relation or chunk id that is not a string or
+repeats, an entity or relation whose layer field differs from its shard,
+a parent_id naming no loaded entity of the next layer up, or a relation
+endpoint naming no entity of the relation's own layer. Each entity and
+relation shard is turned into model objects in one pass over its rows,
+with the cyclic garbage collector paused for the whole load. It returns
+the vectors as one EmbeddingTable whose rows are laid out layer by layer,
 layer 0 first, each layer in sorted-id order; the disk order stays
 sorted by id, so the saved bytes and the content hash do not depend on
 the table's layout.
@@ -345,10 +345,11 @@ def load_index(
 
     The version and the content hash over the bytes read are verified
     before any row is parsed; row, layer and embedding counts must then
-    match the manifest, ids must not repeat, every parent_id must name a
-    loaded entity and every relation endpoint an entity of the relation's
-    layer. Anything else raises StoreError. The vectors
-    come back as an EmbeddingTable in layer order (EmbeddingTable.row_order).
+    match the manifest, ids must be strings that do not repeat, every
+    parent_id must name a loaded entity one layer up and every relation
+    endpoint an entity of the relation's layer. Anything else raises
+    StoreError. The vectors come back as an EmbeddingTable in layer order
+    (EmbeddingTable.row_order).
     """
     # a load makes tens of thousands of objects and no reference cycles, so
     # collections during it would only re-scan live objects
@@ -411,10 +412,11 @@ def _load_index(directory: Path) -> tuple[Hierarchy, EmbeddingTable, dict[str, C
         h.layers.append(GraphLayer(index, {row["id"] for row in rows}))
         del rows  # free this shard's rows before the next one is parsed
     for child, parent in parent_map.items():
-        if not isinstance(parent, str) or parent not in entities:
-            raise StoreError(
-                f"entities_{entities[child].layer}.jsonl: entity {child!r} names parent {parent!r}, which is not in the index"
-            )
+        layer = entities[child].layer
+        found = entities.get(parent) if isinstance(parent, str) else None
+        if found is None or found.layer != layer + 1:
+            where = "not in the index" if found is None else f"on layer {found.layer}, not {layer + 1}"
+            raise StoreError(f"entities_{layer}.jsonl: entity {child!r} names parent {parent!r}, which is {where}")
 
     relations = h.relations
     for layer, (index, _, n_relations) in zip(h.layers, layer_counts):
@@ -425,6 +427,8 @@ def _load_index(directory: Path) -> tuple[Hierarchy, EmbeddingTable, dict[str, C
         try:
             for row in rows:
                 r = Relation.from_dict(row)
+                if not isinstance(r.id, str):
+                    raise StoreError(f"{name}: relation id {r.id!r} is not a string")
                 if r.layer != index:
                     raise StoreError(f"{name}: relation {r.id!r} declares layer {r.layer!r}")
                 if r.source_id not in ends or r.target_id not in ends:
@@ -444,6 +448,8 @@ def _load_index(directory: Path) -> tuple[Hierarchy, EmbeddingTable, dict[str, C
     try:
         for row in rows:
             c = Chunk.from_dict(row)
+            if not isinstance(c.id, str):
+                raise StoreError(f"chunks.jsonl: chunk id {c.id!r} is not a string")
             chunks[c.id] = c
     except _ROW_ERRORS as exc:
         raise _malformed("chunks.jsonl", row, exc) from None

@@ -371,8 +371,9 @@ def test_retrieve_end_to_end(embed_provider):
         assert len(set(layers)) == len(layers)
 
 
-# Reference implementations: the full scans these functions used before the
-# query path read Hierarchy.layer0_ids and Hierarchy.relations_by_entity.
+# Reference implementations: full scans over every entity or relation, which
+# the query path replaces with the views Hierarchy.layer0_ids and
+# Hierarchy.neighbours.
 
 
 def scan_anchor_seeds(h, embeddings, query, n, embed_provider):
@@ -464,6 +465,98 @@ def hierarchy_with_relations(rng, n_leaves, avg_degree, embed_provider):
             )
             layer.relation_ids.add(rid)
     return h, embeddings
+
+
+def scan_relations_by_entity(h):
+    """Entity id -> ids of the relations with that entity as an endpoint, by a scan of h.relations."""
+    touching = {eid: set() for eid in h.entities}
+    for rid, r in h.relations.items():
+        touching[r.source_id].add(rid)
+        touching[r.target_id].add(rid)
+    return touching
+
+
+def assert_neighbour_map_matches_scan(h):
+    touching = scan_relations_by_entity(h)
+    assert h.neighbours.keys() == h.entities.keys()
+    for eid, row in h.neighbours.items():
+        listed = set()
+        for v, first in row.items():
+            pair = [first, *h.parallel_relations.get(first, ())]
+            for rid in pair:
+                r = h.relations[rid]
+                assert {r.source_id, r.target_id} == {eid, v}, (eid, v, rid)
+            assert h.neighbours[v][eid] == first
+            listed.update(pair)
+        assert listed == touching[eid], eid
+    # each relation is a pair's first id or one of its parallels, exactly once
+    firsts = [first for eid, row in h.neighbours.items() for v, first in row.items() if eid <= v]
+    parallels = [rid for rids in h.parallel_relations.values() for rid in rids]
+    assert h.parallel_relations.keys() <= set(firsts)
+    assert sorted(firsts + parallels) == sorted(h.relations)
+
+
+class TestNeighbourMap:
+    """Hierarchy.neighbours with parallel_relations lists exactly the relations
+    that a scan of h.relations finds for each entity."""
+
+    def test_random_hierarchies(self, embed_provider):
+        rng = random.Random(26)
+        for _ in range(12):
+            h, _ = hierarchy_with_relations(rng, rng.choice([15, 40, 80]), rng.choice([1.5, 3.0, 6.0]), embed_provider)
+            assert h.parallel_relations, "hierarchy_with_relations adds parallel relations"
+            assert_neighbour_map_matches_scan(h)
+
+    def test_loaded_index(self, tmp_path, embed_provider, gen_provider):
+        entities, relations, chunks = make_layer0(random.Random(27), 60, avg_degree=4)
+        h, embeddings, _ = build_hierarchy(entities, relations, BuildParams(cluster_size=6, seed=0), embed_provider, gen_provider)
+        save_index(h, embeddings, chunks, tmp_path / "index")
+        loaded, _, _, _ = load_index(tmp_path / "index")
+        assert len(loaded.layers) >= 3
+        assert_neighbour_map_matches_scan(loaded)
+
+
+class ReadRecordingRelations(dict):
+    """A relation map that records the ids read from it and fails on a full scan."""
+
+    def __init__(self, relations):
+        super().__init__(relations)
+        self.read = set()
+
+    def __getitem__(self, rid):
+        self.read.add(rid)
+        return super().__getitem__(rid)
+
+    def get(self, rid, default=None):
+        self.read.add(rid)
+        return super().get(rid, default)
+
+    def _scan(self, *args):
+        raise AssertionError("the query path scanned every relation")
+
+    __iter__ = keys = values = items = _scan
+
+
+def test_query_reads_only_returned_relations(embed_provider):
+    """Once the views exist, assemble_subgraph reads only the relations it
+    returns and flat_path_retrieve reads none."""
+    rng = random.Random(28)
+    returned = 0
+    for _ in range(6):
+        h, embeddings = hierarchy_with_relations(rng, 80, 6.0, embed_provider)
+        seeds, _ = retrieve(h, embeddings, "glacier summit", 8, embed_provider)
+        flat_path_retrieve(h, seeds)  # builds the views, which read every relation once
+        h.relations = ReadRecordingRelations(h.relations)
+        for _ in range(4):
+            seeds, sub = retrieve(h, embeddings, description(rng, length=6), rng.randint(4, 14), embed_provider)
+            kept = set(sub.path_relations) | set(sub.inter_cluster_relations)
+            assert h.relations.read <= kept
+            returned += len(kept)
+            h.relations.read.clear()
+            flat = flat_path_retrieve(h, seeds, max_hops=4)
+            assert h.relations.read == set()
+            returned += len(flat.path_relations)
+    assert returned > 0
 
 
 class TestMatchesScanReference:
@@ -612,7 +705,7 @@ def test_queried_index_freed_without_cycle_collector(tmp_path, embed_provider, g
     try:
         seeds, sub = retrieve(h, embeddings, "glacier summit tundra", 6, embed_provider)
         flat_path_retrieve(h, seeds, max_hops=4)
-        assert "layer0_ids" in vars(h) and "relations_by_entity" in vars(h)
+        assert "layer0_ids" in vars(h) and "neighbours" in vars(h)
         ref = weakref.ref(h)
         del h
         assert ref() is None

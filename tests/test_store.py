@@ -346,6 +346,15 @@ def set_first_source_layer0(rows):
     rows[0]["source_id"] = "e0000"
 
 
+def set_first_parent_two_layers_up(rows):
+    # agg:2:0 is on layer 2, one layer above the layer-1 parent e0000 has
+    rows[0]["parent_id"] = "agg:2:0"
+
+
+def set_first_id_int(rows):
+    rows[0]["id"] = 7
+
+
 class TestLoadFailsClosed:
     """Shards that pass the hash check but disagree with the format or the
     manifest raise StoreError naming the shard; the CLI exits 3."""
@@ -365,6 +374,9 @@ class TestLoadFailsClosed:
             ("relations_0.jsonl", set_first_layer_one),
             ("relations_1.jsonl", set_first_source_layer0),
             ("chunks.jsonl", repeat_first_id),
+            ("entities_0.jsonl", set_first_parent_two_layers_up),
+            ("relations_1.jsonl", set_first_id_int),
+            ("chunks.jsonl", set_first_id_int),
         ],
         ids=[
             "entity-row-not-object",
@@ -379,6 +391,9 @@ class TestLoadFailsClosed:
             "relation-layer-differs-from-shard",
             "relation-endpoint-on-other-layer",
             "chunk-id-twice",
+            "parent-two-layers-up",
+            "relation-id-not-string",
+            "chunk-id-not-string",
         ],
     )
     def test_malformed_row(self, tmp_path, caplog, shard, edit):
