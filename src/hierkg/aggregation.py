@@ -12,6 +12,11 @@ fits the mixture (fit_gmm, with the fixed EM_MAX_ITERS and EM_TOL of
 clustering) and splits any cluster above cluster_size (split_oversized).
 Passes repeat until the top layer holds at most stop_when_entities_leq
 entities or max_layers layers exist.
+
+The vectors live in one float64 matrix per layer, rows in sorted-id
+order: build_hierarchy embeds each layer with one embed_batch call,
+clustering works on row indices of the top layer's matrix, and the
+layer matrices stack into the returned EmbeddingTable in its row order.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterAssignment, choose_num_components, fit_gmm, split_oversized
+from .clustering import choose_num_components, fit_gmm, split_oversized
 from .errors import InvalidArgumentError
 from .model import BuildParams, EmbeddingTable, Entity, GraphLayer, Hierarchy, Relation, RelationKind
 
@@ -63,18 +68,19 @@ class BuildReport:
 def bucket_relations(
     h: Hierarchy,
     layer: GraphLayer,
-    assignment: ClusterAssignment,
+    clusters: list[list[str]],
     aggregate_ids: list[str],
 ) -> tuple[list[list[str]], list[InterClusterEvidence]]:
     """One sorted pass over the layer's relations, split by cluster label.
 
-    Returns, per cluster j, the sorted ids of the layer's relations with
-    both endpoints in assignment.clusters[j], and the crossing-relation
-    evidence for every cluster pair with strength > 0. aggregate_ids[j]
-    is the aggregate generated for assignment.clusters[j].
+    clusters[j] lists the entity ids of cluster j. Returns, per cluster j,
+    the sorted ids of the layer's relations with both endpoints in
+    clusters[j], and the crossing-relation evidence for every cluster pair
+    with strength > 0. aggregate_ids[j] is the aggregate generated for
+    clusters[j].
     """
-    label_of = assignment.labels()
-    intra: list[list[str]] = [[] for _ in assignment.clusters]
+    label_of = {eid: j for j, cluster in enumerate(clusters) for eid in cluster}
+    intra: list[list[str]] = [[] for _ in clusters]
     by_pair: dict[tuple[str, str], list[str]] = {}
     for rid in sorted(layer.relation_ids):
         r = h.relations[rid]
@@ -102,28 +108,31 @@ def _run_ordered(tasks, fn, max_workers: int):
 def build_layer(
     h: Hierarchy,
     params: BuildParams,
-    embed_provider,
     gen_provider,
-    embeddings: dict[str, np.ndarray],
+    X: np.ndarray,
     report: BuildReport | None = None,
     max_workers: int = 1,
 ) -> tuple[GraphLayer, list[InterClusterEvidence]]:
-    """Aggregate the current top layer into a new layer appended to h."""
+    """Aggregate the current top layer into a new layer appended to h.
+
+    X is the top layer's embedding matrix, one row per entity in sorted-id
+    order.
+    """
     lower = h.layers[-1]
     new_index = lower.index + 1
     if len(lower.entity_ids) < 2:
         raise InvalidArgumentError("cannot aggregate a layer with fewer than 2 entities")
 
-    lower_embeddings = {eid: embeddings[eid] for eid in lower.entity_ids}
+    ids = sorted(lower.entity_ids)
     seed = params.seed + new_index
-    m = choose_num_components(len(lower.entity_ids), params.cluster_size)
-    assignment = fit_gmm(lower_embeddings, m, seed=seed)
-    # non-empty clusters ordered by smallest id, the order the aggregate ids follow
-    assignment = split_oversized(assignment, params.cluster_size, lower_embeddings, seed=seed)
+    m = choose_num_components(len(ids), params.cluster_size)
+    assignment = fit_gmm(X, m, seed=seed)
+    # non-empty clusters ordered by first row, the order the aggregate ids follow
+    assignment = split_oversized(assignment, params.cluster_size, X, seed=seed)
 
-    clusters = [sorted(c) for c in assignment.clusters]
+    clusters = [[ids[i] for i in rows] for rows in assignment.clusters]
     aggregate_ids = [f"agg:{new_index}:{ordinal}" for ordinal in range(len(clusters))]
-    intra, evidence = bucket_relations(h, lower, assignment, aggregate_ids)
+    intra, evidence = bucket_relations(h, lower, clusters, aggregate_ids)
 
     def _gen_entity(task: tuple[list[str], list[str]]):
         members, intra_ids = task
@@ -166,17 +175,11 @@ def build_layer(
         )
         new_layer.relation_ids.add(rid)
 
-    # embed the new descriptions now so the next pass needs no second walk
-    vectors = embed_provider.embed_batch([h.entities[aid].description for aid in aggregate_ids])
-    for aid, vec in zip(aggregate_ids, vectors):
-        embeddings[aid] = vec
-
     h.layers.append(new_layer)
 
     if report is not None:
         report.entity_generation_calls += len(clusters)
         report.relation_generation_calls += sum(1 for ev in evidence if ev.strength > tau)
-        report.embed_calls += 1
         for ev in evidence:
             report.lambda_histogram[ev.strength] += 1
     logger.info(
@@ -187,6 +190,23 @@ def build_layer(
         tau,
     )
     return new_layer, evidence
+
+
+def _embed_layer(h: Hierarchy, layer: GraphLayer, embed_provider, report: BuildReport, dim: int | None = None) -> np.ndarray:
+    """The layer's (n, d) float64 embedding matrix from one embed_batch call, rows in sorted-id order.
+
+    dim is layer 0's d, which every later layer must match; None for layer 0.
+    """
+    texts = [h.entities[eid].description for eid in sorted(layer.entity_ids)]
+    vectors = embed_provider.embed_batch(texts)
+    report.embed_calls += 1
+    # the batch's shape as each vector would make it; more than one means they differ
+    shapes = sorted({(len(vectors), *np.shape(v)) for v in vectors})
+    expected = (len(texts), shapes[0][-1] if dim is None and shapes else dim)
+    if shapes != [expected]:
+        got = " and ".join(map(str, shapes)) or "no vectors"
+        raise InvalidArgumentError(f"layer {layer.index} embedding batch has shape {got}, expected {expected}")
+    return np.array(vectors, dtype="<f8")
 
 
 def build_hierarchy(
@@ -217,22 +237,17 @@ def build_hierarchy(
     )
     report = BuildReport()
 
-    ids0 = sorted(layer0.entity_ids)
-    embeddings: dict[str, np.ndarray] = {}
-    vectors = embed_provider.embed_batch([h.entities[eid].description for eid in ids0])
-    for eid, vec in zip(ids0, vectors):
-        embeddings[eid] = vec
-    report.embed_calls += 1
-
+    blocks = [_embed_layer(h, layer0, embed_provider, report)]
     while True:
         top = h.layers[-1]
         if len(top.entity_ids) <= params.stop_when_entities_leq:
             break
         if len(h.layers) >= params.max_layers:
             break
-        build_layer(h, params, embed_provider, gen_provider, embeddings, report, max_workers=max_workers)
+        new_layer, _ = build_layer(h, params, gen_provider, blocks[-1], report, max_workers=max_workers)
+        blocks.append(_embed_layer(h, new_layer, embed_provider, report, dim=blocks[0].shape[1]))
 
     for layer in h.layers:
         report.layer_entity_counts.append(len(layer.entity_ids))
         report.layer_relation_counts.append(len(layer.relation_ids))
-    return h, EmbeddingTable.for_hierarchy(h, embeddings), report
+    return h, EmbeddingTable(EmbeddingTable.row_order(h), np.concatenate(blocks)), report

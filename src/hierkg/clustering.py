@@ -1,4 +1,4 @@
-"""Gaussian-mixture partitioning of a layer's entities.
+"""Gaussian-mixture partitioning of the rows of a layer's embedding matrix.
 
 EM on a diagonal-covariance mixture with k-means++-style seeding, hard
 assignment by maximum responsibility, and a deterministic round-robin
@@ -7,6 +7,10 @@ once the log-likelihood moves by less than EM_TOL; neither is a build
 setting. A post-pass recursively re-fits any cluster that exceeds the
 configured cluster size, so the final partition always respects the size
 cap.
+
+Everything here works on row indices of an (n, d) matrix and never sees
+entity ids. Row order is the caller's concern: the result depends on it,
+so the build passes each layer's rows in sorted-id order.
 """
 
 from __future__ import annotations
@@ -25,11 +29,8 @@ EM_TOL = 1e-4
 
 @dataclass
 class ClusterAssignment:
-    clusters: list[set[str]]
+    clusters: list[np.ndarray]  # ascending row indices, one array per cluster
     log_likelihoods: list[float] = field(default_factory=list)
-
-    def labels(self) -> dict[str, int]:
-        return {eid: j for j, cluster in enumerate(self.clusters) for eid in cluster}
 
 
 def choose_num_components(n_entities: int, cluster_size: int) -> int:
@@ -78,40 +79,32 @@ def _log_prob(
     return -0.5 * (X2 @ inv_var.T - 2.0 * (X @ (means * inv_var).T) + const) + np.log(weights)
 
 
-def _round_robin(ids_sorted: list[str], m: int) -> ClusterAssignment:
-    clusters: list[set[str]] = [set() for _ in range(m)]
-    for i, eid in enumerate(ids_sorted):
-        clusters[i % m].add(eid)
-    return ClusterAssignment(clusters=clusters)
+def _round_robin(n: int, m: int) -> ClusterAssignment:
+    return ClusterAssignment(clusters=[np.arange(j, n, m) for j in range(m)])
 
 
-def fit_gmm(embeddings: dict[str, np.ndarray], m: int, seed: int = 0) -> ClusterAssignment:
-    """Partition entities into m clusters over their embedding vectors.
+def fit_gmm(X: np.ndarray, m: int, seed: int = 0) -> ClusterAssignment:
+    """Partition the n rows of X, an (n, d) float matrix, into m clusters.
 
-    Ids are sorted before seeding, so the result is invariant to input
-    ordering. The recorded log-likelihood trace is non-decreasing (within
-    floating slack) until convergence.
+    Each cluster is an ascending array of row indices. The result depends
+    on the row order, which seeds the mixture; the build passes rows in
+    sorted-id order. The recorded log-likelihood trace is non-decreasing
+    (within floating slack) until convergence.
     """
     if m < 1:
         raise InvalidArgumentError("m must be >= 1")
-    n = len(embeddings)
+    n = X.shape[0]
     if m > n:
         raise InvalidArgumentError(f"m={m} exceeds number of points n={n}")
-
-    ids_sorted = sorted(embeddings)
-    X = np.stack([embeddings[eid] for eid in ids_sorted])
     if not np.all(np.isfinite(X)):
         raise InvalidArgumentError("embeddings contain non-finite values")
-    dims = {embeddings[eid].shape for eid in ids_sorted}
-    if len(dims) != 1:
-        raise InvalidArgumentError("embeddings have mixed dimensionality")
 
     if m == 1:
-        return ClusterAssignment(clusters=[set(ids_sorted)])
+        return ClusterAssignment(clusters=[np.arange(n)])
 
     # degenerate input: no spread at all, EM cannot separate anything
     if np.allclose(X, X[0], atol=1e-12):
-        return _round_robin(ids_sorted, m)
+        return _round_robin(n, m)
 
     rng = np.random.default_rng(seed)
     means = _kmeanspp_means(X, m, rng)
@@ -143,58 +136,56 @@ def fit_gmm(embeddings: dict[str, np.ndarray], m: int, seed: int = 0) -> Cluster
         weights = weights / weights.sum()
 
     labels = resp.argmax(axis=1)  # argmax breaks ties toward the lower index
-    clusters: list[set[str]] = [set() for _ in range(m)]
-    for eid, lab in zip(ids_sorted, labels):
-        clusters[int(lab)].add(eid)
-    _repair_empty_clusters(clusters, {eid: i for i, eid in enumerate(ids_sorted)}, X)
+    clusters = [np.flatnonzero(labels == j) for j in range(m)]
+    _repair_empty_clusters(clusters, X)
 
     return ClusterAssignment(clusters=clusters, log_likelihoods=log_likelihoods)
 
 
-def _repair_empty_clusters(clusters: list[set[str]], row_of: dict[str, int], X: np.ndarray) -> None:
+def _repair_empty_clusters(clusters: list[np.ndarray], X: np.ndarray) -> None:
     """Move the farthest member of the largest cluster into each empty one."""
     while True:
-        empties = [j for j, c in enumerate(clusters) if not c]
+        empties = [j for j, c in enumerate(clusters) if not len(c)]
         if not empties:
             return
         donor = max(range(len(clusters)), key=lambda j: (len(clusters[j]), -j))
-        if len(clusters[donor]) < 2:
+        rows = clusters[donor]
+        if len(rows) < 2:
             # nothing left to split; should not happen when m <= n
             raise InvalidArgumentError("cannot repair empty cluster: no donor available")
-        members = sorted(clusters[donor])
-        rows = np.array([row_of[eid] for eid in members])
         center = X[rows].mean(axis=0)
-        far = members[int(np.argmax(np.sum((X[rows] - center) ** 2, axis=1)))]
-        clusters[donor].remove(far)
-        clusters[empties[0]].add(far)
+        far = int(np.argmax(np.sum((X[rows] - center) ** 2, axis=1)))
+        clusters[empties[0]] = rows[far : far + 1]
+        clusters[donor] = np.delete(rows, far)
 
 
 def split_oversized(
     assignment: ClusterAssignment,
     cluster_size: int,
-    embeddings: dict[str, np.ndarray],
+    X: np.ndarray,
     seed: int = 0,
 ) -> ClusterAssignment:
     """Re-fit any cluster larger than cluster_size until all comply.
 
-    Output clusters are non-empty and ordered by their smallest member id,
-    so the final partition is independent of the recursion path.
+    Each oversized cluster is re-fitted on its own rows of X, in ascending
+    row order. Output clusters are non-empty ascending row arrays ordered
+    by their first row, so the final partition is independent of the
+    recursion path.
     """
     if cluster_size < 2:
         raise InvalidArgumentError("cluster_size must be >= 2")
-    done: list[set[str]] = []
-    pending = [set(c) for c in assignment.clusters if c]
+    done: list[np.ndarray] = []
+    pending = [c for c in assignment.clusters if len(c)]
     while pending:
-        cluster = pending.pop()
-        if len(cluster) <= cluster_size:
-            done.append(cluster)
+        rows = pending.pop()
+        if len(rows) <= cluster_size:
+            done.append(rows)
             continue
-        m = choose_num_components(len(cluster), cluster_size)
-        sub = fit_gmm({eid: embeddings[eid] for eid in cluster}, m, seed=seed)
-        produced = [c for c in sub.clusters if c]
+        m = choose_num_components(len(rows), cluster_size)
+        produced = [c for c in fit_gmm(X[rows], m, seed=seed).clusters if len(c)]
         if len(produced) == 1:
             # EM refused to split (e.g. near-identical points); force it
-            produced = _round_robin(sorted(cluster), m).clusters
-        pending.extend(produced)
-    done.sort(key=lambda c: min(c))
+            produced = _round_robin(len(rows), m).clusters
+        pending.extend(rows[c] for c in produced)
+    done.sort(key=lambda c: c[0])
     return ClusterAssignment(clusters=done, log_likelihoods=list(assignment.log_likelihoods))

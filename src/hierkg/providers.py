@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 import time
-import threading
 import zlib
 from dataclasses import dataclass, field, fields
 
@@ -75,12 +74,6 @@ class MockEmbeddingProvider:
         if dim < 8:
             raise InvalidArgumentError("dim too small for trigram hashing")
         self.dim = dim
-        self._calls = 0
-        self._lock = threading.Lock()
-
-    @property
-    def call_count(self) -> int:
-        return self._calls
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         if not texts:
@@ -90,8 +83,6 @@ class MockEmbeddingProvider:
             if not text.strip():
                 raise InvalidArgumentError("cannot embed empty text")
             out.append(self._embed_one(text))
-        with self._lock:
-            self._calls += 1
         return out
 
     def _embed_one(self, text: str) -> np.ndarray:
@@ -120,12 +111,6 @@ class MockGenerationProvider:
 
     def __init__(self, description_budget: int = 60):
         self.description_budget = description_budget
-        self._calls = 0
-        self._lock = threading.Lock()
-
-    @property
-    def call_count(self) -> int:
-        return self._calls
 
     def generate_aggregate_entity(
         self,
@@ -134,8 +119,6 @@ class MockGenerationProvider:
     ) -> AggregateEntityResult:
         if not cluster_entities:
             raise InvalidArgumentError("cluster must contain at least one entity")
-        with self._lock:
-            self._calls += 1
         names = [name for name, _ in cluster_entities]
         name = "+".join(names[:2]) + " Group"
         description = truncate_tokens(
@@ -151,8 +134,6 @@ class MockGenerationProvider:
     ) -> str:
         if not cross_relations:
             raise InvalidArgumentError("cross_relations must be non-empty")
-        with self._lock:
-            self._calls += 1
         return f"{a[0]} relates to {b[0]} via {len(cross_relations)} underlying relations."
 
 
@@ -243,7 +224,12 @@ class HttpEmbeddingProvider:
             raise ProviderUnavailableError("embedding response missing vectors")
         out = []
         for vec in vectors:
-            arr = np.asarray(vec, dtype=np.float64)
+            try:
+                arr = np.asarray(vec, dtype=np.float64)
+            except (TypeError, ValueError):  # not numbers, or nested lists of uneven length
+                raise ProviderUnavailableError("embedding response contains a vector that is not numeric") from None
+            if arr.ndim != 1 or (out and arr.shape != out[0].shape):
+                raise ProviderUnavailableError(f"embedding response contains a vector of shape {arr.shape}")
             norm = np.linalg.norm(arr)
             if norm == 0.0 or not np.isfinite(norm):
                 raise ProviderUnavailableError("embedding response contains a degenerate vector")

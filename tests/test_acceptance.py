@@ -277,16 +277,16 @@ def test_07_mixture_model_sanity():
             eid = f"b{blob}_{i:02d}"
             embeddings[eid] = center + rng.normal(0, 0.1, 16)
             truth[eid] = blob
-    assignment = fit_gmm(embeddings, 2, seed=1)
-    found = assignment.labels()
-    groups = [{e for e, lab in found.items() if lab == j} for j in (0, 1)]
+    ids = sorted(embeddings)
+    assignment = fit_gmm(np.stack([embeddings[e] for e in ids]), 2, seed=1)
+    groups = [{ids[i] for i in rows} for rows in assignment.clusters]
     truth_groups = [{e for e, lab in truth.items() if lab == j} for j in (0, 1)]
     separated = groups in (truth_groups, truth_groups[::-1])
 
     monotone = True
     for trial in range(20):
         pts = {f"e{i}": rng.normal(size=8) for i in range(rng.integers(20, 80))}
-        fit = fit_gmm(pts, int(rng.integers(2, 6)), seed=trial)
+        fit = fit_gmm(np.stack([pts[e] for e in sorted(pts)]), int(rng.integers(2, 6)), seed=trial)
         lls = fit.log_likelihoods
         if any(cur < prev - 1e-9 for prev, cur in zip(lls, lls[1:])):
             monotone = False

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from hierkg.aggregation import bucket_relations, build_hierarchy
-from hierkg.clustering import ClusterAssignment
-from hierkg.errors import InvalidArgumentError
+from hierkg.errors import InvalidArgumentError, ProviderUnavailableError
 from hierkg.model import (
     BuildParams,
     Chunk,
@@ -15,6 +14,7 @@ from hierkg.model import (
     RelationKind,
     validate_hierarchy,
 )
+from hierkg.providers import HttpEmbeddingProvider, MockEmbeddingProvider, ProviderConfig
 from hierkg.store import save_index
 
 from helpers import make_layer0
@@ -76,16 +76,14 @@ class TestConnectivityMatrix:
     def test_no_crossing_edges(self):
         entities, relations = simple_graph([("e0", "e1"), ("e2", "e3")], n=4)
         h = layer0_hierarchy(entities, relations)
-        assignment = ClusterAssignment(clusters=[{"e0", "e1"}, {"e2", "e3"}])
-        assert bucket_relations(h, h.layers[0], assignment, ["a", "b"])[1] == []
+        assert bucket_relations(h, h.layers[0], [["e0", "e1"], ["e2", "e3"]], ["a", "b"])[1] == []
 
     def test_bipartite_k22(self):
         entities, relations = simple_graph(
             [("e0", "e2"), ("e0", "e3"), ("e1", "e2"), ("e1", "e3")], n=4
         )
         h = layer0_hierarchy(entities, relations)
-        assignment = ClusterAssignment(clusters=[{"e0", "e1"}, {"e2", "e3"}])
-        evidence = bucket_relations(h, h.layers[0], assignment, ["a", "b"])[1]
+        evidence = bucket_relations(h, h.layers[0], [["e0", "e1"], ["e2", "e3"]], ["a", "b"])[1]
         assert len(evidence) == 1
         assert evidence[0].strength == 4
         # oracle: double loop over all edges
@@ -101,9 +99,8 @@ class TestConnectivityMatrix:
         entities, relations, _ = make_layer0(rng, 60, avg_degree=4)
         h = layer0_hierarchy(entities, relations)
         ids = sorted(entities)
-        clusters = [set(ids[i::4]) for i in range(4)]
-        assignment = ClusterAssignment(clusters=clusters)
-        evidence = bucket_relations(h, h.layers[0], assignment, ["a0", "a1", "a2", "a3"])[1]
+        clusters = [ids[i::4] for i in range(4)]
+        evidence = bucket_relations(h, h.layers[0], clusters, ["a0", "a1", "a2", "a3"])[1]
         crossing_total = sum(ev.strength for ev in evidence)
         intra_total = sum(
             len(intra_cluster_relations(h, h.layers[0], cluster)) for cluster in clusters
@@ -120,14 +117,13 @@ class TestBucketRelations:
         h = layer0_hierarchy(entities, relations)
         layer = h.layers[0]
         # random partition of a random subset of the entities
-        clusters = [set() for _ in range(k)]
+        clusters = [[] for _ in range(k)]
         for eid in sorted(entities):
             if rng.random() < 0.9:
-                clusters[rng.randrange(k)].add(eid)
-        assignment = ClusterAssignment(clusters=clusters)
+                clusters[rng.randrange(k)].append(eid)
         aggregate_ids = [f"agg:1:{j}" for j in range(k)]
 
-        intra, evidence = bucket_relations(h, layer, assignment, aggregate_ids)
+        intra, evidence = bucket_relations(h, layer, clusters, aggregate_ids)
         assert intra == [intra_cluster_relations(h, layer, c) for c in clusters]
 
         # oracle: every relation whose endpoints sit in two different clusters
@@ -242,6 +238,25 @@ class TestBuildHierarchy:
             manifests.append(manifest)
         assert manifests[0].content_hash == manifests[1].content_hash
 
+    def test_input_order_does_not_change_the_index(self, tmp_path, gen_provider):
+        rng = random.Random(12)
+        entities, relations, chunks = make_layer0(rng, 120, avg_degree=3)
+        params = BuildParams(cluster_size=8, seed=3)
+        hashes = set()
+        for run in range(3):
+            eids, rids = list(entities), list(relations)
+            random.Random(run).shuffle(eids)
+            random.Random(run).shuffle(rids)
+            h, embeddings, _ = build_hierarchy(
+                {eid: entities[eid] for eid in eids},
+                {rid: relations[rid] for rid in rids},
+                params,
+                MockEmbeddingProvider(),
+                gen_provider,
+            )
+            hashes.add(save_index(h, embeddings, chunks, tmp_path / f"run{run}").content_hash)
+        assert len(hashes) == 1
+
     def test_inputs_not_mutated(self, embed_provider, gen_provider):
         rng = random.Random(7)
         entities, relations, _ = make_layer0(rng, 1100, avg_degree=2)
@@ -298,3 +313,43 @@ class TestBuildHierarchy:
         params = BuildParams(tau=3, tau_overrides={2: 7})
         assert params.tau_for_layer(1) == 3
         assert params.tau_for_layer(2) == 7
+
+
+class TestEmbeddingShapes:
+    """Malformed embedding batches fail with a named error, whatever the layer."""
+
+    def build_with(self, post, gen_provider):
+        entities, relations, _ = make_layer0(random.Random(3), 40, avg_degree=3)
+        config = ProviderConfig(endpoint="http://test/api", max_retries=0)
+        embed = HttpEmbeddingProvider(config, post=post, sleep=lambda s: None)
+        return build_hierarchy(entities, relations, BuildParams(cluster_size=20, seed=1), embed, gen_provider)
+
+    @staticmethod
+    def vectors(texts, dim=8):
+        return [v.tolist() for v in MockEmbeddingProvider(dim=dim).embed_batch(texts)]
+
+    def test_vectors_of_different_lengths_are_a_provider_error(self, gen_provider):
+        def post(url, payload, timeout):
+            vectors = self.vectors(payload["texts"])
+            vectors[-1].append(0.5)
+            return {"vectors": vectors}
+
+        with pytest.raises(ProviderUnavailableError, match=r"shape \(9,\)"):
+            self.build_with(post, gen_provider)
+
+    def test_two_dimensional_vectors_are_a_provider_error(self, gen_provider):
+        def post(url, payload, timeout):
+            return {"vectors": [[v[:4], v[4:]] for v in self.vectors(payload["texts"])]}
+
+        with pytest.raises(ProviderUnavailableError, match=r"shape \(2, 4\)"):
+            self.build_with(post, gen_provider)
+
+    def test_layer_of_another_dimension_is_rejected(self, gen_provider):
+        calls = []
+
+        def post(url, payload, timeout):
+            calls.append(1)
+            return {"vectors": self.vectors(payload["texts"], dim=8 if len(calls) == 1 else 16)}
+
+        with pytest.raises(InvalidArgumentError, match=r"layer 1 embedding batch has shape \((\d+), 16\), expected \(\1, 8\)"):
+            self.build_with(post, gen_provider)

@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -30,6 +28,17 @@ def two_blobs(rng, n_per=20, dim=16, separation=20.0, spread=0.1):
             embeddings[eid] = center + rng.normal(0, spread, dim)
             labels[eid] = blob
     return embeddings, labels, centers
+
+
+def sorted_matrix(embeddings):
+    """The sorted ids and their vectors stacked in that order, as the build lays out a layer."""
+    ids = sorted(embeddings)
+    return ids, np.stack([embeddings[eid] for eid in ids])
+
+
+def id_clusters(ids, assignment):
+    """The assignment's row-index clusters as sets of ids."""
+    return [{ids[i] for i in rows} for rows in assignment.clusters]
 
 
 def loop_log_prob(X, means, variances, weights):
@@ -66,44 +75,35 @@ class TestChooseNumComponents:
 
 class TestFitGmm:
     def test_single_point_single_cluster(self):
-        assignment = fit_gmm({"a": np.ones(4)}, 1)
-        assert assignment.clusters == [{"a"}]
+        assignment = fit_gmm(np.ones((1, 4)), 1)
+        assert id_clusters(["a"], assignment) == [{"a"}]
 
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(11)
         embeddings, labels, centers = two_blobs(rng)
-        assignment = fit_gmm(embeddings, 2, seed=5)
+        ids, X = sorted_matrix(embeddings)
+        assignment = fit_gmm(X, 2, seed=5)
 
         # oracle: nearest true blob center
         oracle = {}
         for eid, vec in embeddings.items():
             oracle[eid] = int(np.argmin([np.linalg.norm(vec - c) for c in centers]))
-        found = assignment.labels()
-        groups = [{eid for eid, lab in found.items() if lab == j} for j in (0, 1)]
+        groups = id_clusters(ids, assignment)
         oracle_groups = [{eid for eid, lab in oracle.items() if lab == j} for j in (0, 1)]
         assert groups in (oracle_groups, oracle_groups[::-1])
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(1)
         embeddings = {f"e{i}": rng.normal(size=8) for i in range(30)}
-        a = fit_gmm(embeddings, 3, seed=42)
-        b = fit_gmm(embeddings, 3, seed=42)
-        assert a.clusters == b.clusters
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(2)
-        embeddings = {f"e{i}": rng.normal(size=8) for i in range(25)}
-        shuffled_keys = list(embeddings)
-        random.Random(0).shuffle(shuffled_keys)
-        reordered = {k: embeddings[k] for k in shuffled_keys}
-        a = fit_gmm(embeddings, 3, seed=9)
-        b = fit_gmm(reordered, 3, seed=9)
-        assert sorted(map(sorted, a.clusters)) == sorted(map(sorted, b.clusters))
+        ids, X = sorted_matrix(embeddings)
+        a = fit_gmm(X, 3, seed=42)
+        b = fit_gmm(X, 3, seed=42)
+        assert id_clusters(ids, a) == id_clusters(ids, b)
 
     def test_log_likelihood_non_decreasing(self):
         rng = np.random.default_rng(3)
         embeddings = {f"e{i}": rng.normal(size=8) for i in range(60)}
-        assignment = fit_gmm(embeddings, 4, seed=1)
+        assignment = fit_gmm(sorted_matrix(embeddings)[1], 4, seed=1)
         lls = assignment.log_likelihoods
         assert len(lls) >= 2
         for prev, cur in zip(lls, lls[1:]):
@@ -112,9 +112,10 @@ class TestFitGmm:
     def test_partition_properties(self):
         rng = np.random.default_rng(4)
         embeddings = {f"e{i}": rng.normal(size=8) for i in range(50)}
-        assignment = fit_gmm(embeddings, 5, seed=0)
+        ids, X = sorted_matrix(embeddings)
+        assignment = fit_gmm(X, 5, seed=0)
         all_ids = set()
-        for cluster in assignment.clusters:
+        for cluster in id_clusters(ids, assignment):
             assert cluster
             assert not (all_ids & cluster)
             all_ids |= cluster
@@ -122,18 +123,19 @@ class TestFitGmm:
 
     def test_m_exceeds_n(self):
         with pytest.raises(InvalidArgumentError):
-            fit_gmm({"a": np.ones(4), "b": np.zeros(4)}, 3)
+            fit_gmm(np.stack([np.ones(4), np.zeros(4)]), 3)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            fit_gmm({"a": np.array([np.nan, 1.0]), "b": np.ones(2)}, 1)
+            fit_gmm(np.stack([np.array([np.nan, 1.0]), np.ones(2)]), 1)
 
     def test_identical_points_round_robin(self):
         embeddings = {f"e{i:02d}": np.ones(4) for i in range(9)}
-        assignment = fit_gmm(embeddings, 3, seed=0)
+        ids, X = sorted_matrix(embeddings)
+        assignment = fit_gmm(X, 3, seed=0)
         assert [len(c) for c in assignment.clusters] == [3, 3, 3]
         # deterministic: id i goes to cluster i % 3 over lexicographically sorted ids
-        assert assignment.clusters[0] == {"e00", "e03", "e06"}
+        assert id_clusters(ids, assignment)[0] == {"e00", "e03", "e06"}
 
 
 class TestEStep:
@@ -172,7 +174,7 @@ class TestEStep:
         rng = np.random.default_rng(seed)
         X = with_constant_columns(rng, 4 * m + 20, dim, scale=1.0)
         embeddings = {f"e{i:03d}": row for i, row in enumerate(X)}
-        lls = fit_gmm(embeddings, m, seed=seed).log_likelihoods
+        lls = fit_gmm(sorted_matrix(embeddings)[1], m, seed=seed).log_likelihoods
         assert len(lls) >= 2
         for prev, cur in zip(lls, lls[1:]):
             assert cur >= prev - 1e-9 * max(1.0, abs(prev))
@@ -182,31 +184,35 @@ class TestSplitOversized:
     def test_compliant_assignment_unchanged(self):
         rng = np.random.default_rng(5)
         embeddings = {f"e{i}": rng.normal(size=4) for i in range(10)}
-        assignment = fit_gmm(embeddings, 2, seed=0)
-        out = split_oversized(assignment, 20, embeddings)
-        assert sorted(map(sorted, out.clusters)) == sorted(map(sorted, assignment.clusters))
+        ids, X = sorted_matrix(embeddings)
+        assignment = fit_gmm(X, 2, seed=0)
+        out = split_oversized(assignment, 20, X)
+        assert sorted(map(sorted, id_clusters(ids, out))) == sorted(map(sorted, id_clusters(ids, assignment)))
 
     def test_oversized_cluster_is_split(self):
         rng = np.random.default_rng(6)
         embeddings = {f"e{i:02d}": rng.normal(size=8) for i in range(45)}
-        assignment = ClusterAssignment(clusters=[set(embeddings)])
-        out = split_oversized(assignment, 20, embeddings, seed=1)
+        ids, X = sorted_matrix(embeddings)
+        assignment = ClusterAssignment(clusters=[np.arange(len(ids))])
+        out = split_oversized(assignment, 20, X, seed=1)
         assert len(out.clusters) >= 3
         assert all(1 <= len(c) <= 20 for c in out.clusters)
-        union = set().union(*out.clusters)
+        union = set().union(*id_clusters(ids, out))
         assert union == set(embeddings)
 
     def test_identical_embeddings_round_robin_split(self):
         embeddings = {f"e{i:02d}": np.ones(4) for i in range(45)}
-        assignment = ClusterAssignment(clusters=[set(embeddings)])
-        out = split_oversized(assignment, 20, embeddings, seed=0)
+        ids, X = sorted_matrix(embeddings)
+        assignment = ClusterAssignment(clusters=[np.arange(len(ids))])
+        out = split_oversized(assignment, 20, X, seed=0)
         assert len(out.clusters) == 3
         assert all(len(c) <= 20 for c in out.clusters)
 
     def test_repeated_split_deterministic(self):
         rng = np.random.default_rng(8)
         embeddings = {f"e{i:03d}": rng.normal(size=8) for i in range(120)}
-        assignment = ClusterAssignment(clusters=[set(embeddings)])
-        a = split_oversized(assignment, 20, embeddings, seed=3)
-        b = split_oversized(assignment, 20, embeddings, seed=3)
-        assert a.clusters == b.clusters
+        ids, X = sorted_matrix(embeddings)
+        assignment = ClusterAssignment(clusters=[np.arange(len(ids))])
+        a = split_oversized(assignment, 20, X, seed=3)
+        b = split_oversized(assignment, 20, X, seed=3)
+        assert id_clusters(ids, a) == id_clusters(ids, b)

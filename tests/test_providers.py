@@ -162,6 +162,15 @@ class TestHttpProviders:
         vec = provider.embed_batch(["hello"])[0]
         assert np.allclose(vec, [0.6, 0.8])
 
+    @pytest.mark.parametrize("vector", [[[1.0, 2.0], [3.0]], "abc", {"x": 1.0}])
+    def test_non_numeric_vector_is_a_provider_error(self, vector):
+        def post(url, payload, timeout):
+            return {"vectors": [vector]}
+
+        provider = HttpEmbeddingProvider(self.config(), post=post, sleep=lambda s: None)
+        with pytest.raises(ProviderUnavailableError, match="not numeric"):
+            provider.embed_batch(["hello"])
+
     def test_embedding_retries_then_fails(self):
         calls = []
 
