@@ -34,6 +34,10 @@ from .model import BuildParams, EmbeddingTable, Entity, GraphLayer, Hierarchy, R
 
 logger = logging.getLogger(__name__)
 
+# build_layer names layer k's aggregates AGGREGATE_ID_PREFIX + "k:j" and its
+# relations AGGREGATE_ID_PREFIX + "k:rj"; no layer-0 id may start with it
+AGGREGATE_ID_PREFIX = "agg:"
+
 
 @dataclass
 class InterClusterEvidence:
@@ -131,7 +135,7 @@ def build_layer(
     assignment = split_oversized(assignment, params.cluster_size, X, seed=seed)
 
     clusters = [[ids[i] for i in rows] for rows in assignment.clusters]
-    aggregate_ids = [f"agg:{new_index}:{ordinal}" for ordinal in range(len(clusters))]
+    aggregate_ids = [f"{AGGREGATE_ID_PREFIX}{new_index}:{ordinal}" for ordinal in range(len(clusters))]
     intra, evidence = bucket_relations(h, lower, clusters, aggregate_ids)
 
     def _gen_entity(task: tuple[list[str], list[str]]):
@@ -155,7 +159,7 @@ def build_layer(
         for eid in members:
             h.parent_map[eid] = agg_id
 
-    tau = params.tau_for_layer(new_index)
+    tau = params.tau
     name_desc = {aid: (h.entities[aid].name, h.entities[aid].description) for aid in aggregate_ids}
 
     def _gen_relation(ev: InterClusterEvidence):
@@ -168,7 +172,7 @@ def build_layer(
 
     relation_results = _run_ordered(evidence, _gen_relation, max_workers)
     for ordinal, (ev, (kind, text)) in enumerate(zip(evidence, relation_results)):
-        rid = f"agg:{new_index}:r{ordinal}"
+        rid = f"{AGGREGATE_ID_PREFIX}{new_index}:r{ordinal}"
         a, b = ev.pair
         h.relations[rid] = Relation(
             id=rid, source_id=a, target_id=b, description=text, layer=new_index, kind=kind
@@ -223,10 +227,15 @@ def build_hierarchy(
     plus all aggregates, rows in layer order), and a build report for
     operator output. h.entities shares the caller's Entity objects; the
     build never writes to them, since parent links live only in
-    h.parent_map.
+    h.parent_map. An entity or relation id that starts with
+    AGGREGATE_ID_PREFIX is an InvalidArgumentError, raised before any
+    provider call.
     """
     if not entities:
         raise InvalidArgumentError("layer 0 is empty")
+    reserved = sorted(i for ids in (entities, relations) for i in ids if i.startswith(AGGREGATE_ID_PREFIX))
+    if reserved:
+        raise InvalidArgumentError(f"ids {reserved[:3]} start with {AGGREGATE_ID_PREFIX!r}, which aggregate ids use")
     layer0 = GraphLayer(index=0, entity_ids=set(entities), relation_ids=set(relations))
     h = Hierarchy(
         entities=dict(entities),

@@ -115,7 +115,6 @@ class BuildParams:
     max_layers: int = 4
     seed: int = 0
     stop_when_entities_leq: int | None = None  # defaults to cluster_size
-    tau_overrides: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tau < 0:
@@ -128,7 +127,8 @@ class BuildParams:
             self.stop_when_entities_leq = self.cluster_size
 
     def tau_for_layer(self, layer: int) -> int:
-        return self.tau_overrides.get(layer, self.tau)
+        # every layer uses tau; perfbench/spans.py and perfbench/oracles.py call this
+        return self.tau
 
     def to_dict(self) -> dict:
         return {
@@ -137,20 +137,18 @@ class BuildParams:
             "max_layers": self.max_layers,
             "seed": self.seed,
             "stop_when_entities_leq": self.stop_when_entities_leq,
-            "tau_overrides": {str(k): v for k, v in self.tau_overrides.items()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BuildParams":
         """Read the keys to_dict writes; any other key is ignored, such as the
-        single_root, gmm_max_iters and gmm_tol of older manifests."""
+        single_root, gmm_max_iters, gmm_tol and tau_overrides of older manifests."""
         return cls(
             cluster_size=d["cluster_size"],
             tau=d["tau"],
             max_layers=d["max_layers"],
             seed=d["seed"],
             stop_when_entities_leq=d.get("stop_when_entities_leq"),
-            tau_overrides={int(k): v for k, v in d.get("tau_overrides", {}).items()},
         )
 
 
@@ -158,9 +156,10 @@ class BuildParams:
 class Hierarchy:
     """Immutable-after-build stack of graph layers.
 
-    entities/relations are global id maps; each layer lists the ids that
-    live at that level. parent_map (child id -> parent id) is the only
-    record of parent links; top-layer entities have no entry.
+    entities/relations are global id maps. Layer k is layers[k], whose
+    index is k; it lists exactly the entities and relations whose layer
+    field is k, and layer 0 is never empty. parent_map (child id -> parent
+    id) is the only record of parent links; top-layer entities have no entry.
 
     layer0_ids, neighbours and parallel_relations are query-time views
     computed on first access and then frozen: do not mutate a hierarchy
@@ -298,87 +297,63 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
     """Check every structural invariant; returns human-readable violations.
 
     An empty list means the hierarchy is well formed. Violations are data,
-    not exceptions: callers decide whether to fail.
+    not exceptions: callers decide whether to fail. Each invariant is one rule.
     """
-    violations: list[str] = []
+    violations = [] if h.layers and h.layers[0].entity_ids else ["layer 0 is empty"]
+    violations += [f"layer {k}: index field is {layer.index}" for k, layer in enumerate(h.layers) if layer.index != k]
     top = len(h.layers) - 1
 
-    seen_relation_keys: set[tuple] = set()
-    for eid, e in h.entities.items():
-        if e.id != eid:
-            violations.append(f"entity {eid}: key does not match id field {e.id}")
-        if e.layer < 0 or e.layer > top:
-            violations.append(f"entity {eid}: layer {e.layer} outside hierarchy")
-            continue
-        if e.layer == 0 and not e.source_chunk_ids:
-            violations.append(f"entity {eid}: layer-0 entity without source chunks")
-        if e.layer >= 1 and e.source_chunk_ids:
-            violations.append(f"entity {eid}: aggregate carries source chunks")
-        if eid not in h.layers[e.layer].entity_ids:
-            violations.append(f"entity {eid}: missing from layer {e.layer} listing")
+    # layer k lists exactly the records whose layer field is k
+    for kind, records, listings in (
+        ("entity", h.entities, [layer.entity_ids for layer in h.layers]),
+        ("relation", h.relations, [layer.relation_ids for layer in h.layers]),
+    ):
+        declared: list[set[str]] = [set() for _ in listings]
+        for key, record in records.items():
+            if record.id != key:
+                violations.append(f"{kind} {key}: key does not match id field {record.id}")
+            if 0 <= record.layer <= top:
+                declared[record.layer].add(key)
+            else:
+                violations.append(f"{kind} {key}: layer {record.layer} outside hierarchy")
+        for k, (listed, ids) in enumerate(zip(listings, declared)):
+            violations += [f"layer {k}: lists {kind} {x}, which does not declare layer {k}" for x in sorted(listed - ids)]
+            violations += [f"{kind} {x}: missing from layer {k} listing" for x in sorted(ids - listed)]
 
+    # every entity below the top has a parent and every aggregate a child
+    has_child = set(h.parent_map.values())
+    for eid, e in h.entities.items():
+        if bool(e.source_chunk_ids) != (e.layer == 0):
+            what = "aggregate carries" if e.source_chunk_ids else "layer-0 entity without"
+            violations.append(f"entity {eid}: {what} source chunks")
+        if e.layer < top and eid not in h.parent_map:
+            violations.append(f"entity {eid}: no parent although layer {e.layer + 1} exists")
+        if e.layer > 0 and eid not in has_child:
+            violations.append(f"entity {eid}: aggregate without children")
+
+    # a parent exactly one layer up also rules out cycles: a chain that
+    # climbs one layer per step cannot return to where it started
     for eid, pid in h.parent_map.items():
-        e = h.entities.get(eid)
-        parent = h.entities.get(pid)
+        e, parent = h.entities.get(eid), h.entities.get(pid)
         if e is None:
             violations.append(f"parent link {eid} -> {pid}: child does not exist")
-        elif parent is None:
-            violations.append(f"entity {eid}: parent {pid} does not exist")
-        elif parent.layer != e.layer + 1:
-            violations.append(f"entity {eid}: parent {pid} at layer {parent.layer}, expected {e.layer + 1}")
+        elif parent is None or parent.layer != e.layer + 1:
+            where = "does not exist" if parent is None else f"at layer {parent.layer}, expected {e.layer + 1}"
+            violations.append(f"entity {eid}: parent {pid} {where}")
 
+    seen_relation_keys: set[tuple] = set()
     for rid, r in h.relations.items():
         if r.source_id == r.target_id:
             violations.append(f"relation {rid}: self-loop")
         for end in (r.source_id, r.target_id):
             e = h.entities.get(end)
-            if e is None:
-                violations.append(f"relation {rid}: endpoint {end} does not exist")
-            elif e.layer != r.layer:
-                violations.append(f"relation {rid}: endpoint {end} not at layer {r.layer}")
-        inter = r.kind in (RelationKind.INTER_CLUSTER_AGGREGATED, RelationKind.INTER_CLUSTER_CONCATENATED)
-        if inter != (r.layer >= 1):
+            if e is None or e.layer != r.layer:
+                where = "does not exist" if e is None else f"not at layer {r.layer}"
+                violations.append(f"relation {rid}: endpoint {end} {where}")
+        if (r.kind is not RelationKind.BASE) != (r.layer >= 1):
             violations.append(f"relation {rid}: kind {r.kind.value} invalid at layer {r.layer}")
-        if r.layer < 0 or r.layer > top:
-            violations.append(f"relation {rid}: layer {r.layer} outside hierarchy")
-        elif rid not in h.layers[r.layer].relation_ids:
-            violations.append(f"relation {rid}: missing from layer {r.layer} listing")
         key = (r.source_id, r.target_id, r.layer, r.description)
         if key in seen_relation_keys:
             violations.append(f"relation {rid}: exact duplicate of another relation")
         seen_relation_keys.add(key)
-
-    for layer in h.layers:
-        for eid in layer.entity_ids:
-            e = h.entities.get(eid)
-            if e is None:
-                violations.append(f"layer {layer.index}: lists unknown entity {eid}")
-            elif e.layer != layer.index:
-                violations.append(f"layer {layer.index}: entity {eid} declares layer {e.layer}")
-        for rid in layer.relation_ids:
-            if rid not in h.relations:
-                violations.append(f"layer {layer.index}: lists unknown relation {rid}")
-    if h.layers and not h.layers[0].entity_ids:
-        violations.append("layer 0 is empty")
-
-    # parent links must form a forest (no cycles) and, per layer pair,
-    # cover every non-top entity exactly once
-    for eid in h.entities:
-        try:
-            h.ancestors(eid)
-        except InvalidArgumentError as exc:
-            violations.append(f"entity {eid}: {exc}")
-
-    for i in range(len(h.layers) - 1):
-        lower = h.layers[i].entity_ids
-        upper = h.layers[i + 1].entity_ids
-        parents = {h.parent_map.get(eid) for eid in lower}
-        missing = {eid for eid in lower if h.parent_map.get(eid) is None}
-        for eid in sorted(missing):
-            violations.append(f"entity {eid}: no parent although layer {i + 1} exists")
-        if parents - {None} != upper:
-            violations.append(
-                f"layer {i + 1}: entity set differs from the parents assigned to layer {i}"
-            )
-
     return violations

@@ -187,14 +187,20 @@ class _RetryingHttpClient:
         self._sleep = sleep
 
     def call(self, payload: dict) -> dict:
+        """The response body, which must be a JSON object; a body of any
+        other type is a ProviderUnavailableError, raised without a retry."""
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             try:
-                return self._post(self.config.endpoint, payload, self.config.timeout_seconds)
+                body = self._post(self.config.endpoint, payload, self.config.timeout_seconds)
             except Exception as exc:  # transport-level failure, retry with backoff
                 last_error = exc
                 if attempt < self.config.max_retries:
                     self._sleep(self.config.backoff_seconds * (2**attempt))
+                continue
+            if not isinstance(body, dict):
+                raise ProviderUnavailableError(f"{self.config.endpoint} returned {type(body).__name__}, not a JSON object")
+            return body
         raise ProviderUnavailableError(
             f"{self.config.endpoint} failed after {self.config.max_retries + 1} attempts: {last_error}"
         )

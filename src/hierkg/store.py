@@ -14,11 +14,12 @@ embeddings.bin stores the vectors in sorted-id order.
 A load reads each shard from disk once and verifies the content hash
 over those bytes before it parses any row. It fails closed with
 StoreError (CLI exit 3) on a hash mismatch, a malformed manifest or
-row, row, embedding or dimension counts that disagree with the
-manifest, an entity, relation or chunk id that is not a string or
-repeats, an entity or relation whose layer field differs from its shard,
-a parent_id naming no loaded entity of the next layer up, or a relation
-endpoint naming no entity of the relation's own layer. Each entity and
+row, manifest layer indices other than 0..k-1 for some k >= 1, row,
+embedding or dimension counts that disagree with the manifest, an
+entity, relation or chunk id that is not a string or repeats, an entity
+or relation whose layer field differs from its shard, a parent_id
+naming no loaded entity of the next layer up, or a relation endpoint
+naming no entity of the relation's own layer. Each entity and
 relation shard is turned into model objects in one pass over its rows,
 with the cyclic garbage collector paused for the whole load. It returns
 the vectors as one EmbeddingTable whose rows are laid out layer by layer,
@@ -343,13 +344,13 @@ def load_index(
 ) -> tuple[Hierarchy, EmbeddingTable, dict[str, Chunk], IndexManifest]:
     """Load a saved index, reading each shard once.
 
-    The version and the content hash over the bytes read are verified
-    before any row is parsed; row, layer and embedding counts must then
-    match the manifest, ids must be strings that do not repeat, every
-    parent_id must name a loaded entity one layer up and every relation
-    endpoint an entity of the relation's layer. Anything else raises
-    StoreError. The vectors come back as an EmbeddingTable in layer order
-    (EmbeddingTable.row_order).
+    The version, the manifest's layer indices (exactly 0..k-1, k >= 1) and
+    the content hash over the bytes read are verified before any row is
+    parsed; row, layer and embedding counts must then match the manifest,
+    ids must be strings that do not repeat, every parent_id must name a
+    loaded entity one layer up and every relation endpoint an entity of
+    the relation's layer. Anything else raises StoreError. The vectors
+    come back as an EmbeddingTable in layer order (EmbeddingTable.row_order).
     """
     # a load makes tens of thousands of objects and no reference cycles, so
     # collections during it would only re-scan live objects
@@ -371,9 +372,9 @@ def _load_index(directory: Path) -> tuple[Hierarchy, EmbeddingTable, dict[str, C
         raise StoreError(
             f"format_version {manifest.format_version} unsupported (expected {FORMAT_VERSION})"
         )
-    if len({index for index, _, _ in layer_counts}) != len(layer_counts):
-        raise StoreError("manifest.json lists a layer twice")
-    layer_counts.sort()
+    indices = [index for index, _, _ in layer_counts]
+    if not indices or indices != list(range(len(indices))):
+        raise StoreError(f"manifest.json: layer indices {indices} are not 0..k-1 for some k >= 1")
 
     names = [f"{kind}_{index}.jsonl" for index, _, _ in layer_counts for kind in ("entities", "relations")]
     names += ["chunks.jsonl", "embeddings.bin"]

@@ -309,11 +309,6 @@ class TestBuildHierarchy:
                 )
                 assert r.kind == expected
 
-    def test_per_layer_tau_override(self, embed_provider, gen_provider):
-        params = BuildParams(tau=3, tau_overrides={2: 7})
-        assert params.tau_for_layer(1) == 3
-        assert params.tau_for_layer(2) == 7
-
 
 class TestEmbeddingShapes:
     """Malformed embedding batches fail with a named error, whatever the layer."""

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hierkg import providers
-from hierkg.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from hierkg.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
 from hierkg.providers import count_tokens
 
 from helpers import make_layer0, write_ingest_jsonl
@@ -31,6 +31,23 @@ def built_index(tmp_path, ingest_file, capsys):
     capsys.readouterr()
     assert code == EXIT_OK
     return index_dir
+
+
+@pytest.fixture()
+def provider_calls(monkeypatch):
+    """Names of the mock provider methods called, in call order."""
+    calls = []
+    for cls, name in [
+        (providers.MockEmbeddingProvider, "embed_batch"),
+        (providers.MockGenerationProvider, "generate_aggregate_entity"),
+        (providers.MockGenerationProvider, "generate_aggregate_relation"),
+    ]:
+        def counted(self, *args, _method=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def run_json(capsys, argv):
@@ -79,6 +96,49 @@ class TestBuild:
         code = main(["build", "--bogus"])
         capsys.readouterr()
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("renamed", [None, "e0000", "r00000"], ids=["control", "entity", "relation"])
+    def test_reserved_aggregate_id_is_usage_error(self, tmp_path, capsys, provider_calls, renamed):
+        # an input entity agg:1:0 used to run every layer's generation calls and
+        # then exit 2; an input relation agg:1:r0 was replaced by the layer-1
+        # relation of that id, and the index then failed to load
+        entities, relations, chunks = make_layer0(random.Random(0), 30, avg_degree=3)
+        if renamed in entities:
+            e = entities.pop(renamed)
+            e.id = "agg:1:0"
+            entities[e.id] = e
+            for r in relations.values():
+                r.source_id, r.target_id = (e.id if end == renamed else end for end in (r.source_id, r.target_id))
+        elif renamed in relations:
+            r = relations.pop(renamed)
+            r.id = "agg:1:r0"
+            relations[r.id] = r
+        path = tmp_path / "knowledge.jsonl"
+        write_ingest_jsonl(path, entities, relations, chunks)
+        code = main(["build", "--input", str(path), "--out", str(tmp_path / "o"), "--cluster-size", "10", "--seed", "1"])
+        capsys.readouterr()
+        if renamed is None:
+            assert code == EXIT_OK and "generate_aggregate_entity" in provider_calls
+        else:
+            assert code == EXIT_USAGE
+            assert provider_calls == []
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body", [[1, 2], "text", None], ids=["list", "string", "null"])
+    def test_provider_body_not_an_object_is_provider_error(self, tmp_path, ingest_file, capsys, monkeypatch, body):
+        posts = []
+
+        def post(url, payload, timeout):
+            posts.append(url)
+            return body
+
+        monkeypatch.setattr(providers, "_default_post", post)
+        config = tmp_path / "providers.json"
+        config.write_text(json.dumps({"embedding": {"provider": "http", "endpoint": "http://test/embed"}}))
+        code = main(["build", "--input", str(ingest_file), "--out", str(tmp_path / "o"), "--providers", str(config)])
+        assert capsys.readouterr().out == ""
+        assert code == EXIT_PROVIDER
+        assert posts == ["http://test/embed"]
 
     def test_single_root_flag_is_gone(self, tmp_path, ingest_file, capsys):
         code = main(["build", "--input", str(ingest_file), "--out", str(tmp_path / "o"), "--single-root"])

@@ -171,6 +171,29 @@ class TestHttpProviders:
         with pytest.raises(ProviderUnavailableError, match="not numeric"):
             provider.embed_batch(["hello"])
 
+    @pytest.mark.parametrize("body", [[1, 2], "text", None], ids=["list", "string", "null"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda post, config: HttpEmbeddingProvider(config, post=post).embed_batch(["hello"]),
+            lambda post, config: HttpGenerationProvider(config, post=post).generate_aggregate_relation(
+                ("A", "da"), ("B", "db"), ["r1"]
+            ),
+        ],
+        ids=["embedding", "generation"],
+    )
+    def test_body_not_an_object_is_a_provider_error(self, call, body):
+        # such a body used to escape as AttributeError, which the CLI does not catch
+        posts = []
+
+        def post(url, payload, timeout):
+            posts.append(payload)
+            return body
+
+        with pytest.raises(ProviderUnavailableError, match="not a JSON object"):
+            call(post, self.config(retries=2))
+        assert len(posts) == 1  # no retry
+
     def test_embedding_retries_then_fails(self):
         calls = []
 

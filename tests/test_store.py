@@ -248,7 +248,7 @@ class TestIndexRoundTrip:
         h, _, _, directory, manifest = build_small_index(tmp_path)
         mpath = directory / "manifest.json"
         doc = json.loads(mpath.read_text(encoding="utf-8"))
-        retired = {"single_root": False, "gmm_max_iters": 50, "gmm_tol": 1e-4}
+        retired = {"single_root": False, "gmm_max_iters": 50, "gmm_tol": 1e-4, "tau_overrides": {"2": 7}}
         assert not set(retired) & set(doc["build_params"])
         # every manifest saved before these build settings were dropped has them;
         # the content hash covers only the shards, so no rehash is needed
@@ -476,6 +476,23 @@ class TestLoadFailsClosed:
         with pytest.raises(StoreError):
             load_index(directory)
         assert main(["stats", "--index", str(directory)]) == 3
+
+    @pytest.mark.parametrize("kept", [[], [1, 2], [0, 2]], ids=["no-layers", "no-layer-0", "layer-1-missing"])
+    def test_manifest_layers_other_than_0_to_k(self, tmp_path, capsys, kept):
+        # with no layers, stats used to exit 0 and query to die with IndexError;
+        # without layer 0, query used to exit 0 after anchoring on aggregates
+        _, _, _, directory, _ = build_small_index(tmp_path, cluster_size=4)
+        mpath = directory / "manifest.json"
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        assert [stat["index"] for stat in doc["layer_stats"]] == [0, 1, 2]
+        doc["layer_stats"] = [doc["layer_stats"][index] for index in kept]
+        mpath.write_text(json.dumps(doc), encoding="utf-8")
+        rehash(directory)  # over the shards of the layers kept
+        with pytest.raises(StoreError, match="layer indices"):
+            load_index(directory)
+        assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
+        assert main(["stats", "--index", str(directory)]) == 3
+        assert capsys.readouterr().out == ""
 
 
 # json.dumps(ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw, and
