@@ -71,6 +71,7 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    store.check_out_dir(args.out)
     providers_cfg = _load_provider_config(args.providers)
     logger.info("resolved config: %s", json.dumps(_redacted(providers_cfg), sort_keys=True))
     embed = make_embedding_provider(providers_cfg["embedding"])

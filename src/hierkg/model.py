@@ -4,12 +4,15 @@ A built index is a stack of graph layers: layer 0 holds the ingested
 entities/relations with chunk provenance, every higher layer holds
 generated aggregate entities plus inter-cluster relations. Parent links
 form a forest (each entity has at most one parent, one layer up). The
-entity vectors live in one EmbeddingTable, in layer order.
+entity vectors live in one EmbeddingTable, in layer order. RelationEnds
+holds every relation's endpoints as entity rows, from which the
+neighbour views are made; a loaded index's entities and relations are
+LazyRows maps, which make each row on its first read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -29,9 +32,10 @@ class RelationKind(str, Enum):
 _KIND_BY_VALUE = {kind.value: kind for kind in RelationKind}
 
 
-# A load builds one Entity, Relation or Chunk per stored row. Slots make
-# each object smaller and cheaper to create, and from_dict passes its
-# arguments positionally: a keyword call into __init__ costs about twice as much.
+# A build makes one Entity or Relation per record, and a load one per row
+# that is read. Slots make each object smaller and cheaper to create, and
+# from_dict passes its arguments positionally: a keyword call into
+# __init__ costs about twice as much.
 @dataclass(slots=True)
 class Entity:
     id: str
@@ -161,12 +165,15 @@ class Hierarchy:
     field is k, and layer 0 is never empty. parent_map (child id -> parent
     id) is the only record of parent links; top-layer entities have no entry.
 
-    layer0_ids, neighbours and parallel_relations are query-time views
-    computed on first access and then frozen: do not mutate a hierarchy
-    after it has been queried, or later queries read the stale views.
-    Build, store and validation never touch them. The neighbour views
-    assume what validate_hierarchy checks and load_index enforces: every
-    relation endpoint is an entity, on the relation's own layer.
+    layer0_ids, relation_ends, neighbours and parallel_relations are
+    query-time views computed on first access and then frozen: do not
+    mutate a hierarchy after it has been queried, or later queries read
+    the stale views. load_index sets relation_ends from the index's
+    arrays, so the same holds for a loaded hierarchy from the start.
+    Build, store and validation never touch the views. They assume what
+    validate_hierarchy checks and load_index enforces: every relation
+    endpoint is an entity, on the relation's own layer. No view holds a
+    reference back to the hierarchy.
     """
 
     entities: dict[str, Entity] = field(default_factory=dict)
@@ -175,51 +182,39 @@ class Hierarchy:
     parent_map: dict[str, str] = field(default_factory=dict)
     build_params: BuildParams | None = None
 
-    def entity(self, entity_id: str) -> Entity:
-        try:
-            return self.entities[entity_id]
-        except KeyError:
-            raise NotFoundError(f"unknown entity id: {entity_id}") from None
-
     @cached_property
     def layer0_ids(self) -> tuple[str, ...]:
         """Layer-0 entity ids in sorted order."""
         return tuple(sorted(self.layers[0].entity_ids))
 
     @cached_property
+    def relation_ends(self) -> RelationEnds:
+        """Every relation's endpoints as entity rows, in the dict orders of
+        entities and relations; reads every relation once."""
+        return RelationEnds.of(self, list(self.entities), list(self.relations))
+
+    @cached_property
     def neighbours(self) -> dict[str, dict[str, str]]:
-        """Entity id -> {neighbour id: id of the first stored relation joining the two}.
+        """Entity id -> {neighbour id: id of the first relation joining the two}.
 
         Every entity has a row, empty when no relation touches it, and a
-        relation is listed under both of its endpoints. The other relations
-        joining the same pair are in parallel_relations.
+        relation is listed under both of its endpoints. "First" is in the
+        order of relation_ends. A row is made from relation_ends on its
+        first read. The other relations joining the same pair are in
+        parallel_relations.
         """
-        return self._neighbour_views[0]
+        return self.relation_ends.neighbour_rows()
 
     @cached_property
     def parallel_relations(self) -> dict[str, list[str]]:
         """First relation id of a pair (as in neighbours) -> ids of the other
         relations joining the same pair; a pair joined once has no entry."""
-        return self._neighbour_views[1]
-
-    @cached_property
-    def _neighbour_views(self) -> tuple[dict[str, dict[str, str]], dict[str, list[str]]]:
-        """neighbours and parallel_relations, built in one pass over the relations."""
-        neighbours: dict[str, dict[str, str]] = {eid: {} for eid in self.entities}
-        parallel: dict[str, list[str]] = {}
-        for rid, r in self.relations.items():
-            a, b = r.source_id, r.target_id
-            first = neighbours[a].setdefault(b, rid)
-            # relation ids are unique, so rid comes back only for a new pair
-            if first is rid:
-                neighbours[b][a] = rid
-            else:
-                parallel.setdefault(first, []).append(rid)
-        return neighbours, parallel
+        return self.relation_ends.parallel_relations()
 
     def ancestors(self, entity_id: str) -> list[str]:
         """Chain from the entity up to its topmost ancestor, inclusive."""
-        self.entity(entity_id)
+        if entity_id not in self.entities:
+            raise NotFoundError(f"unknown entity id: {entity_id}")
         chain = [entity_id]
         seen = {entity_id}
         current = entity_id
@@ -230,6 +225,143 @@ class Hierarchy:
             chain.append(current)
             seen.add(current)
         return chain
+
+
+class LazyRows(dict):
+    """A mapping whose values are made on first read and then kept.
+
+    rows (key -> row number) fixes the keys and their order, and
+    make(row) makes the value of one row. A read of a value already made
+    is a plain dict lookup: dict.__getitem__ finds it, or calls
+    __missing__ on the first read. Keys can be deleted, not added or
+    replaced. A copy (copy(), copy.copy, copy.deepcopy, pickle) is a plain
+    dict holding every value.
+    """
+
+    __slots__ = ("_rows", "_make")
+
+    def __init__(self, rows: dict[str, int], make: Callable[[int], object]):
+        super().__init__()
+        self._rows = rows
+        self._make = make
+
+    def __missing__(self, key):
+        value = self._make(self._rows[key])
+        dict.__setitem__(self, key, value)
+        return value
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __reversed__(self) -> Iterator[str]:
+        return reversed(self._rows)
+
+    def keys(self):
+        return self._rows.keys()
+
+    def items(self):
+        return ItemsView(self)
+
+    def values(self):
+        return ValuesView(self)
+
+    def get(self, key, default=None):
+        return self[key] if key in self._rows else default
+
+    def __delitem__(self, key) -> None:
+        rows = dict(self._rows)  # the caller may share rows with another map
+        del rows[key]
+        self._rows = rows
+        dict.pop(self, key, None)
+
+    def copy(self) -> dict:
+        return dict(self.items())
+
+    def __reduce__(self):
+        return dict, (self.copy(),)
+
+    def __eq__(self, other: object) -> bool:
+        return self.copy() == other
+
+    def __ne__(self, other: object) -> bool:
+        return self.copy() != other
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} keys, {dict.__len__(self)} values made>"
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} supports reads and del only")
+
+    __setitem__ = setdefault = update = pop = popitem = clear = __or__ = __ror__ = __ior__ = _read_only
+
+
+@dataclass(frozen=True)
+class RelationEnds:
+    """Every relation's endpoints as entity rows.
+
+    Relation relation_ids[j] joins entity_ids[sources[j]] and
+    entity_ids[targets[j]]; entity_rows maps each entity id to its row.
+    sources and targets are int32 arrays.
+    """
+
+    entity_ids: Sequence[str]
+    entity_rows: dict[str, int]
+    relation_ids: Sequence[str]
+    sources: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def of(cls, h: Hierarchy, entity_ids: Sequence[str], relation_ids: Sequence[str]) -> RelationEnds:
+        """The ends of h's relations, entities and relations numbered in the orders given.
+
+        Raises KeyError for a relation or an endpoint that is not in those orders.
+        """
+        rows = {eid: i for i, eid in enumerate(entity_ids)}
+        relations = [h.relations[rid] for rid in relation_ids]
+        sources = np.fromiter((rows[r.source_id] for r in relations), np.int32, len(relations))
+        targets = np.fromiter((rows[r.target_id] for r in relations), np.int32, len(relations))
+        return cls(entity_ids, rows, relation_ids, sources, targets)
+
+    def neighbour_rows(self) -> LazyRows:
+        """Hierarchy.neighbours: one row per entity, made on its first read."""
+        entity_ids, relation_ids = self.entity_ids, self.relation_ids
+        # end k of relation j sits at 2j + k; a stable sort by entity row keeps
+        # each entity's relations in relation order (numpy radix-sorts keys of
+        # up to 16 bits, so the narrowest type that holds the rows is fastest)
+        ends = np.stack([self.sources, self.targets], axis=1).ravel()
+        order = np.argsort(ends.astype(np.min_scalar_type(max(len(entity_ids) - 1, 0))), kind="stable")
+        others, relation_of = ends[order ^ 1], order >> 1
+        starts = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=len(entity_ids))))).tolist()
+
+        def row(i: int) -> dict[str, str]:
+            a, b = starts[i], starts[i + 1]
+            found: dict[str, str] = {}
+            for v, j in zip(others[a:b].tolist(), relation_of[a:b].tolist()):
+                found.setdefault(entity_ids[v], relation_ids[j])
+            return found
+
+        return LazyRows(self.entity_rows, row)
+
+    def parallel_relations(self) -> dict[str, list[str]]:
+        """Hierarchy.parallel_relations, from one sort of the relations by endpoint pair."""
+        low = np.minimum(self.sources, self.targets).astype(np.int64)
+        pairs = low * len(self.entity_ids) + np.maximum(self.sources, self.targets)
+        order = np.argsort(pairs)
+        ordered = pairs[order]
+        groups: dict[int, set[int]] = {}
+        for k in np.flatnonzero(ordered[1:] == ordered[:-1]).tolist():
+            groups.setdefault(int(ordered[k]), set()).update((int(order[k]), int(order[k + 1])))
+        parallel: dict[str, list[str]] = {}
+        for group in groups.values():
+            first, *rest = sorted(group)
+            parallel[self.relation_ids[first]] = [self.relation_ids[j] for j in rest]
+        return parallel
 
 
 class EmbeddingTable(Mapping[str, np.ndarray]):

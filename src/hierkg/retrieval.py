@@ -145,7 +145,8 @@ def lca_paths(
         common = set(chains[members[0]])
         for eid in members[1:]:
             common &= set(chains[eid])
-        lca = min(common, key=lambda node: h.entities[node].layer)
+        # chains climb one layer per step, so the first common node is the lowest
+        lca = next(node for node in chains[members[0]] if node in common)
         lca_nodes.append((members, lca))
         for eid in members:
             chain = chains[eid]

@@ -2,51 +2,87 @@
 
 Ingest reads line-delimited JSON records (entity / relation / chunk,
 discriminated by a "type" tag) and produces a validated layer-0 graph.
-A built index is saved as a directory: a manifest, one JSONL file per
-layer for entities and relations, a chunk file, and a little-endian
-binary embedding shard. Each entity row carries its parent_id from
-Hierarchy.parent_map (null on the top layer). The manifest's content
-hash is SHA-256 over each shard's name, a NUL byte and its bytes, in
-sorted name order.
 
-embeddings.bin stores the vectors in sorted-id order.
+A built index is a directory in format 2, which keeps the structure
+apart from the text. Entity rows are numbered in EmbeddingTable.row_order
+(layer by layer, layer 0 first, each layer in sorted-id order) and
+relation rows layer by layer, each layer in sorted-id order; the
+manifest's layer_stats give each layer's entity and relation counts.
 
-A load reads each shard from disk once and verifies the content hash
-over those bytes before it parses any row. It fails closed with
-StoreError (CLI exit 3) on a hash mismatch, a malformed manifest or
-row, manifest layer indices other than 0..k-1 for some k >= 1, row,
-embedding or dimension counts that disagree with the manifest, an
-entity, relation or chunk id that is not a string or repeats, an entity
-or relation whose layer field differs from its shard, a parent_id
-naming no loaded entity of the next layer up, or a relation endpoint
-naming no entity of the relation's own layer. Each entity and
-relation shard is turned into model objects in one pass over its rows,
-with the cyclic garbage collector paused for the whole load. It returns
-the vectors as one EmbeddingTable whose rows are laid out layer by layer,
-layer 0 first, each layer in sorted-id order; the disk order stays
-sorted by id, so the saved bytes and the content hash do not depend on
-the table's layout.
+    manifest.json    format_version, build params, layer_stats, embedding_dim,
+                     provider ids, content_hash
+    ids.json         {"entities": [ids by row], "relations": [ids by row]}
+    structure.bin    back to back, for n entities and m relations:
+                     entity and relation text offsets (<u8, n + 1 and m + 1:
+                     row i is bytes offsets[i]:offsets[i + 1] of its shard),
+                     parent rows (<i4, n; -1 on the top layer),
+                     relation source and target rows (<i4, m each),
+                     relation kinds (u1, m; codes in RelationKind order)
+    embeddings.bin   the (n, embedding_dim) vectors as raw <f8, in row order
+    entities.jsonl   one row per entity: Entity.to_dict()
+    relations.jsonl  one row per relation: id, description, layer
+    chunks.jsonl     one row per chunk: Chunk.to_dict()
+
+The manifest's content hash is SHA-256 over each shard's name, a NUL
+byte and its bytes, in sorted name order. save_index writes the whole
+directory beside its destination and renames it into place, so an
+interrupted save leaves the old index, if any, as it was; only between
+the two renames that swap the new index in does the old one sit beside
+the destination, under a name ending in .old. Nothing is fsynced. The
+destination must be missing, an empty directory or an index
+(check_out_dir); no file survives from an earlier index.
+
+A load reads each shard once and verifies the content hash before
+anything else. It then checks the structure with whole-array checks:
+manifest layer indices exactly 0..k-1 for some k >= 1, layer sizes
+that sum to the id counts, ids that are strings and do not repeat,
+entity ids sorted within each layer, offsets that increase from 0 to
+their shard's length, every row index in range, each parent exactly one
+layer up (none on the top layer), both endpoints of a relation on the
+relation's own layer, known kind codes and an embedding shard of
+exactly n * embedding_dim * 8 bytes. Any failure raises StoreError (CLI
+exit 3). The embedding table is a read-only view of the bytes read.
+parent_map is a plain dict; entities and relations are LazyRows maps
+that parse a text row on its first read. A row that is malformed, or
+whose id or layer differs from the structure, raises StoreError at that
+read, so a query fails with exit 3 when it reaches one. A format-1 index
+is refused with a StoreError naming its version.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
+import itertools
 import json
-import struct
-from collections.abc import Callable, Iterable, Iterator, Mapping
-from contextlib import contextmanager
+import secrets
+import shutil
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IngestError, InvalidArgumentError, StoreError
-from .model import BuildParams, Chunk, EmbeddingTable, Entity, GraphLayer, Hierarchy, Relation
+from .model import (
+    BuildParams,
+    Chunk,
+    EmbeddingTable,
+    Entity,
+    GraphLayer,
+    Hierarchy,
+    LazyRows,
+    Relation,
+    RelationEnds,
+    RelationKind,
+)
 from .providers import count_tokens
 
-FORMAT_VERSION = 1
-EMBEDDING_MAGIC = b"HKGEMB1\x00"
+FORMAT_VERSION = 2
+SHARDS = ("chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.jsonl", "structure.bin")
+# structure.bin stores a relation's kind as its index in this tuple
+RELATION_KINDS = tuple(RelationKind)
 # what a row of the wrong shape raises while it is turned into a model object
 _ROW_ERRORS = (KeyError, TypeError, ValueError)
 
@@ -197,93 +233,64 @@ def _require(record: dict, key: str, lineno: int) -> str:
     return value
 
 
-def _jsonl_bytes(rows: list[dict]) -> bytes:
-    return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows).encode("utf-8")
+def _text_shard(rows: Iterable[dict]) -> tuple[bytes, np.ndarray]:
+    """One JSON line per row, and the offset of each row's first byte followed by the shard's length."""
+    lines = [(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8") for row in rows]
+    offsets = np.fromiter(itertools.accumulate(map(len, lines), initial=0), "<u8", len(lines) + 1)
+    return b"".join(lines), offsets
 
 
-def _parse_jsonl(shards: dict[str, bytes], name: str, expected: int | None = None) -> list:
-    """Parse one JSONL shard with a single json.loads, dropping its bytes.
+def _structure_layout(n_entities: int, n_relations: int) -> list[tuple[str, str, int]]:
+    """The arrays of structure.bin in file order: (name, dtype, length)."""
+    return [
+        ("entity_offsets", "<u8", n_entities + 1),
+        ("relation_offsets", "<u8", n_relations + 1),
+        ("parents", "<i4", n_entities),
+        ("sources", "<i4", n_relations),
+        ("targets", "<i4", n_relations),
+        ("kinds", "u1", n_relations),
+    ]
+
+
+def _parse_jsonl(data: bytes, name: str) -> list:
+    """Parse one JSONL shard with a single json.loads.
 
     Lines are split on b"\n" only: the writer leaves U+2028, U+2029 and
     U+0085 raw inside strings, and str.splitlines() would split on them.
-    expected, when given, is the row count the manifest records.
     """
-    lines = [line for line in shards.pop(name).split(b"\n") if line.strip()]
+    lines = [line for line in data.split(b"\n") if line.strip()]
     try:
         rows = json.loads((b"[" + b",".join(lines) + b"]").decode("utf-8"))
     except ValueError as exc:
         raise StoreError(f"{name}: malformed JSON: {exc}") from None
     if len(rows) != len(lines):
         raise StoreError(f"{name}: {len(lines)} lines hold {len(rows)} rows")
-    if expected is not None and len(rows) != expected:
-        raise StoreError(f"{name}: {len(rows)} rows, manifest says {expected}")
     return rows
 
 
-def _embedding_bytes(embeddings: Mapping[str, np.ndarray], dim: int) -> bytes:
-    ids = sorted(embeddings)
-    parts = [EMBEDDING_MAGIC, struct.pack("<II", len(ids), dim)]
-    for eid in ids:
-        vec = np.asarray(embeddings[eid], dtype="<f8")
-        if vec.shape != (dim,):
-            raise StoreError(f"embedding {eid} has dim {vec.shape}, expected ({dim},)")
-        encoded = eid.encode("utf-8")
-        parts += [struct.pack("<H", len(encoded)), encoded, vec.tobytes()]
-    return b"".join(parts)
-
-
-def _read_embeddings(data: bytes, row_of: dict[str, int]) -> tuple[np.ndarray, int]:
-    """Parse embeddings.bin into one (N, d) float64 matrix.
-
-    Each vector is copied straight into row row_of[id]; the shard must
-    hold exactly one vector for each id of row_of.
-    """
-    if not data.startswith(EMBEDDING_MAGIC):
-        raise StoreError("embedding shard has wrong magic")
-    offset = len(EMBEDDING_MAGIC)
-    try:
-        count, dim = struct.unpack_from("<II", data, offset)
-        offset += 8
-        if count != len(row_of):
-            raise StoreError(f"embeddings.bin: {count} vectors do not match the {len(row_of)} entities")
-        vec_bytes = dim * 8
-        # every row holds at least a 2-byte id length and its vector
-        if count * (2 + vec_bytes) > len(data) - offset:
-            raise StoreError(f"embedding shard is too short for {count} rows of dim {dim}")
-        matrix = np.empty((count, dim), dtype="<f8")
-        dst = memoryview(matrix.reshape(-1).view(np.uint8))
-        src = memoryview(data)
-        filled = bytearray(count)
-        for _ in range(count):
-            (id_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            eid = data[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            row = row_of.get(eid)
-            if row is None or filled[row]:
-                raise StoreError(f"embeddings.bin: unexpected or repeated vector for entity {eid!r}")
-            filled[row] = 1
-            dst[row * vec_bytes : (row + 1) * vec_bytes] = src[offset : offset + vec_bytes]
-            offset += vec_bytes
-    except (struct.error, ValueError) as exc:
-        raise StoreError(f"embedding shard is truncated or malformed: {exc}") from None
-    if offset != len(data):
-        raise StoreError("embedding shard has trailing bytes")
-    return matrix, dim
-
-
 def _content_hash(names: Iterable[str], data_of: Callable[[str], bytes]) -> str:
-    """SHA-256 over each shard's name, a NUL byte and its bytes, in sorted name order.
-
-    data_of(name) is called once per shard, in that order, so a caller
-    can produce each shard's bytes only when they are hashed.
-    """
+    """SHA-256 over each shard's name, a NUL byte and its bytes, in sorted name order."""
     digest = hashlib.sha256()
     for name in sorted(names):
         digest.update(name.encode("utf-8"))
         digest.update(b"\x00")
         digest.update(data_of(name))
     return digest.hexdigest()
+
+
+def check_out_dir(directory: str | Path) -> None:
+    """Raise InvalidArgumentError unless directory is missing, an empty
+    directory or an index (it holds manifest.json).
+
+    save_index replaces the whole directory, so it refuses one that holds
+    anything else rather than delete files it did not write.
+    """
+    directory = Path(directory)
+    if not directory.exists():
+        return
+    if directory.is_dir() and ((directory / "manifest.json").is_file() or next(directory.iterdir(), None) is None):
+        return
+    raise InvalidArgumentError(f"{directory} exists and is neither an empty directory nor an index (no manifest.json)")
 
 
 def save_index(
@@ -293,31 +300,50 @@ def save_index(
     directory: str | Path,
     provider_ids: dict | None = None,
 ) -> IndexManifest:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write h, one vector per entity and the chunks as a format-2 index.
 
-    dim = int(embeddings[min(embeddings)].shape[0]) if embeddings else 0
-    render: dict[str, Callable[[], bytes]] = {
-        "chunks.jsonl": lambda: _jsonl_bytes([chunks[cid].to_dict() for cid in sorted(chunks)]),
-        "embeddings.bin": lambda: _embedding_bytes(embeddings, dim),
+    Raises InvalidArgumentError before writing anything when directory
+    fails check_out_dir, when the vectors' ids differ from the entities
+    of h's layers or when a relation or parent link names an entity that
+    no layer lists.
+    """
+    directory = Path(directory).absolute()
+    check_out_dir(directory)
+    entity_ids = EmbeddingTable.row_order(h)
+    if isinstance(embeddings, EmbeddingTable) and embeddings.ids == tuple(entity_ids):
+        table = embeddings
+    else:
+        table = EmbeddingTable.for_hierarchy(h, embeddings)
+    relation_ids = [rid for layer in h.layers for rid in sorted(layer.relation_ids)]
+    try:
+        ends = RelationEnds.of(h, entity_ids, relation_ids)
+        rows = ends.entity_rows
+        parents = [rows[h.parent_map[eid]] if eid in h.parent_map else -1 for eid in entity_ids]
+    except KeyError as exc:
+        raise InvalidArgumentError(f"cannot save: {exc.args[0]!r} is not listed by any layer of the hierarchy") from None
+    relations = [h.relations[rid] for rid in relation_ids]
+    entity_text, entity_offsets = _text_shard(h.entities[eid].to_dict() for eid in entity_ids)
+    relation_text, relation_offsets = _text_shard(
+        {"id": r.id, "description": r.description, "layer": r.layer} for r in relations
+    )
+    code_of = {kind: code for code, kind in enumerate(RELATION_KINDS)}
+    arrays = {
+        "entity_offsets": entity_offsets,
+        "relation_offsets": relation_offsets,
+        "parents": parents,
+        "sources": ends.sources,
+        "targets": ends.targets,
+        "kinds": [code_of[r.kind] for r in relations],
     }
-    for layer in h.layers:
-        render[f"entities_{layer.index}.jsonl"] = lambda layer=layer: _jsonl_bytes(
-            [{**h.entities[eid].to_dict(), "parent_id": h.parent_map.get(eid)} for eid in sorted(layer.entity_ids)]
-        )
-        render[f"relations_{layer.index}.jsonl"] = lambda layer=layer: _jsonl_bytes(
-            [h.relations[rid].to_dict() for rid in sorted(layer.relation_ids)]
-        )
-
-    def write(name: str) -> bytes:
-        data = render[name]()
-        (directory / name).write_bytes(data)
-        return data
-
-    # each shard is rendered, written and hashed in turn, so only one
-    # shard's bytes are held at a time
-    content_hash = _content_hash(render, write)
-
+    layout = _structure_layout(len(entity_ids), len(relation_ids))
+    shards = {
+        "chunks.jsonl": _text_shard(chunks[cid].to_dict() for cid in sorted(chunks))[0],
+        "embeddings.bin": table.matrix.data,
+        "entities.jsonl": entity_text,
+        "ids.json": json.dumps({"entities": entity_ids, "relations": relation_ids}, ensure_ascii=False).encode("utf-8"),
+        "relations.jsonl": relation_text,
+        "structure.bin": b"".join(np.asarray(arrays[name], dtype).tobytes() for name, dtype, _ in layout),
+    }
     manifest = IndexManifest(
         format_version=FORMAT_VERSION,
         build_params=h.build_params.to_dict() if h.build_params else {},
@@ -329,57 +355,55 @@ def save_index(
             }
             for layer in h.layers
         ],
-        embedding_dim=dim,
+        embedding_dim=table.matrix.shape[1],
         provider_ids=provider_ids or {},
-        content_hash=content_hash,
+        content_hash=_content_hash(shards, shards.__getitem__),
     )
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    shards["manifest.json"] = (json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = directory.with_name(f".{directory.name}.{secrets.token_hex(4)}.tmp")
+    staging.mkdir()
+    try:
+        for name, data in shards.items():
+            (staging / name).write_bytes(data)
+        _move_into_place(staging, directory)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     return manifest
+
+
+def _move_into_place(staging: Path, directory: Path) -> None:
+    """Rename staging to directory, replacing what directory held."""
+    if not directory.exists():
+        staging.rename(directory)
+        return
+    old = staging.with_suffix(".old")
+    directory.rename(old)
+    try:
+        staging.rename(directory)
+    except BaseException:
+        old.rename(directory)
+        raise
+    shutil.rmtree(old)
 
 
 def load_index(
     directory: str | Path,
 ) -> tuple[Hierarchy, EmbeddingTable, dict[str, Chunk], IndexManifest]:
-    """Load a saved index, reading each shard once.
+    """Load a format-2 index, reading each shard once.
 
-    The version, the manifest's layer indices (exactly 0..k-1, k >= 1) and
-    the content hash over the bytes read are verified before any row is
-    parsed; row, layer and embedding counts must then match the manifest,
-    ids must be strings that do not repeat, every parent_id must name a
-    loaded entity one layer up and every relation endpoint an entity of
-    the relation's layer. Anything else raises StoreError. The vectors
-    come back as an EmbeddingTable in layer order (EmbeddingTable.row_order).
+    The manifest and the content hash over the bytes read are verified
+    first, then the structure, as the module docstring lists; anything
+    else raises StoreError. Entity and relation text rows are parsed on
+    their first read, which raises StoreError for a bad row. The vectors
+    come back as an EmbeddingTable in row order (EmbeddingTable.row_order).
     """
-    # a load makes tens of thousands of objects and no reference cycles, so
-    # collections during it would only re-scan live objects
-    with _gc_paused():
-        return _load_index(Path(directory))
-
-
-def _load_index(directory: Path) -> tuple[Hierarchy, EmbeddingTable, dict[str, Chunk], IndexManifest]:
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise StoreError(f"no manifest at {manifest_path}")
-    try:
-        manifest = IndexManifest.from_dict(json.loads(manifest_path.read_text(encoding="utf-8")))
-        layer_counts = [(stat["index"], stat["entities"], stat["relations"]) for stat in manifest.layer_stats]
-        build_params = BuildParams.from_dict(manifest.build_params) if manifest.build_params else None
-    except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
-        raise StoreError(f"manifest.json is malformed: {exc!r}") from None
-    if manifest.format_version != FORMAT_VERSION:
-        raise StoreError(
-            f"format_version {manifest.format_version} unsupported (expected {FORMAT_VERSION})"
-        )
-    indices = [index for index, _, _ in layer_counts]
-    if not indices or indices != list(range(len(indices))):
-        raise StoreError(f"manifest.json: layer indices {indices} are not 0..k-1 for some k >= 1")
-
-    names = [f"{kind}_{index}.jsonl" for index, _, _ in layer_counts for kind in ("entities", "relations")]
-    names += ["chunks.jsonl", "embeddings.bin"]
+    directory = Path(directory)
+    manifest, build_params = _read_manifest(directory)
     shards: dict[str, bytes] = {}
-    for name in names:
+    for name in SHARDS:
         path = directory / name
         if not path.is_file():
             raise StoreError(f"index shard missing: {name}")
@@ -387,65 +411,23 @@ def _load_index(directory: Path) -> tuple[Hierarchy, EmbeddingTable, dict[str, C
     if _content_hash(shards, shards.__getitem__) != manifest.content_hash:
         raise StoreError("content hash mismatch: index is corrupt or partially written")
 
-    # every entity is loaded before any reference to one is checked
-    h = Hierarchy(build_params=build_params)
-    entities, parent_map = h.entities, h.parent_map
-    for index, n_entities, _ in layer_counts:
-        name = f"entities_{index}.jsonl"
-        rows = _parse_jsonl(shards, name, n_entities)
-        loaded = len(entities)
-        try:
-            for row in rows:
-                e = Entity.from_dict(row)
-                if not isinstance(e.id, str):
-                    raise StoreError(f"{name}: entity id {e.id!r} is not a string or appears twice")
-                if e.layer != index:
-                    raise StoreError(f"{name}: entity {e.id!r} declares layer {e.layer!r}")
-                entities[e.id] = e
-                parent = row.get("parent_id")
-                if parent is not None:
-                    parent_map[e.id] = parent
-        except _ROW_ERRORS as exc:
-            raise _malformed(name, row, exc) from None
-        if len(entities) != loaded + len(rows):
-            repeated = _repeated_id(rows, [layer.entity_ids for layer in h.layers])
-            raise StoreError(f"{name}: entity id {repeated!r} is not a string or appears twice")
-        h.layers.append(GraphLayer(index, {row["id"] for row in rows}))
-        del rows  # free this shard's rows before the next one is parsed
-    for child, parent in parent_map.items():
-        layer = entities[child].layer
-        found = entities.get(parent) if isinstance(parent, str) else None
-        if found is None or found.layer != layer + 1:
-            where = "not in the index" if found is None else f"on layer {found.layer}, not {layer + 1}"
-            raise StoreError(f"entities_{layer}.jsonl: entity {child!r} names parent {parent!r}, which is {where}")
+    entity_counts = [stat["entities"] for stat in manifest.layer_stats]
+    relation_counts = [stat["relations"] for stat in manifest.layer_stats]
+    entity_ids, entity_rows, relation_ids, relation_rows = _read_ids(shards["ids.json"], entity_counts, relation_counts)
+    arrays = _read_structure(shards["structure.bin"], entity_counts, relation_counts)
+    entity_text, relation_text = shards["entities.jsonl"], shards["relations.jsonl"]
+    _check_offsets("entity", arrays["entity_offsets"], "entities.jsonl", len(entity_text))
+    _check_offsets("relation", arrays["relation_offsets"], "relations.jsonl", len(relation_text))
+    _check_links(arrays, entity_ids, relation_ids, entity_counts, relation_counts)
 
-    relations = h.relations
-    for layer, (index, _, n_relations) in zip(h.layers, layer_counts):
-        name = f"relations_{index}.jsonl"
-        rows = _parse_jsonl(shards, name, n_relations)
-        loaded = len(relations)
-        ends = layer.entity_ids  # both endpoints lie on the relation's own layer
-        try:
-            for row in rows:
-                r = Relation.from_dict(row)
-                if not isinstance(r.id, str):
-                    raise StoreError(f"{name}: relation id {r.id!r} is not a string")
-                if r.layer != index:
-                    raise StoreError(f"{name}: relation {r.id!r} declares layer {r.layer!r}")
-                if r.source_id not in ends or r.target_id not in ends:
-                    raise _endpoint_error(name, r, entities)
-                relations[r.id] = r
-        except _ROW_ERRORS as exc:
-            raise _malformed(name, row, exc) from None
-        if len(relations) != loaded + len(rows):
-            # the layers not loaded yet, this one included, still hold no relation ids
-            repeated = _repeated_id(rows, [other.relation_ids for other in h.layers])
-            raise StoreError(f"{name}: relation id {repeated!r} appears twice")
-        layer.relation_ids = {row["id"] for row in rows}
-        del rows
+    n, dim = len(entity_ids), manifest.embedding_dim
+    data = shards["embeddings.bin"]
+    if len(data) != n * dim * 8:
+        raise StoreError(f"embeddings.bin: {len(data)} bytes; {n} vectors of dim {dim} take {n * dim * 8}")
+    matrix = np.frombuffer(data, "<f8").reshape(n, dim)
 
     chunks: dict[str, Chunk] = {}
-    rows = _parse_jsonl(shards, "chunks.jsonl")
+    rows = _parse_jsonl(shards["chunks.jsonl"], "chunks.jsonl")
     try:
         for row in rows:
             c = Chunk.from_dict(row)
@@ -455,53 +437,193 @@ def _load_index(directory: Path) -> tuple[Hierarchy, EmbeddingTable, dict[str, C
     except _ROW_ERRORS as exc:
         raise _malformed("chunks.jsonl", row, exc) from None
     if len(chunks) != len(rows):
-        raise StoreError(f"chunks.jsonl: chunk id {_repeated_id(rows, [])!r} appears twice")
+        raise StoreError(f"chunks.jsonl: chunk id {_repeated([row['id'] for row in rows])!r} appears twice")
 
-    # one id -> row dict serves both the shard reader and the table
-    ids = EmbeddingTable.row_order(h)
-    row_of = {eid: i for i, eid in enumerate(ids)}
-    matrix, dim = _read_embeddings(shards.pop("embeddings.bin"), row_of)
-    if dim != manifest.embedding_dim:
-        raise StoreError(f"embeddings.bin: dim {dim}, manifest says {manifest.embedding_dim}")
-    return h, EmbeddingTable(ids, matrix, row_of), chunks, manifest
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, restoring its previous state on exit.
-
-    Collections that allocations would trigger meanwhile only re-scan live
-    objects; the objects made while paused are scanned once, at the next
-    collection. The switch is process-wide, so another thread that turns
-    the collector off during the pause sees it turned back on at the end.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _repeated_id(rows: list[dict], earlier: list[set]) -> object:
-    """The first row id that an earlier row or one of the earlier id sets holds."""
-    seen = set().union(*earlier)
-    for row in rows:
-        if row["id"] in seen:
-            return row["id"]
-        seen.add(row["id"])
-    return None
-
-
-def _endpoint_error(name: str, r: Relation, entities: dict[str, Entity]) -> StoreError:
-    if r.source_id in entities and r.target_id in entities:
-        where = f"not a layer-{r.layer} entity"
-    else:
-        where = "not in the index"
-    return StoreError(
-        f"{name}: relation {r.id!r} names an endpoint that is {where}: {r.source_id!r} -> {r.target_id!r}"
+    entity_starts = list(itertools.accumulate(entity_counts, initial=0))
+    relation_starts = list(itertools.accumulate(relation_counts, initial=0))
+    parents = arrays["parents"][: entity_starts[-2]].tolist()  # every row below the top layer
+    ends = RelationEnds(entity_ids, entity_rows, relation_ids, arrays["sources"], arrays["targets"])
+    h = Hierarchy(
+        entities=LazyRows(entity_rows, _entity_reader(entity_text, arrays["entity_offsets"], entity_ids, entity_starts)),
+        relations=LazyRows(
+            relation_rows, _relation_reader(relation_text, arrays["relation_offsets"], ends, arrays["kinds"], relation_starts)
+        ),
+        layers=[
+            GraphLayer(k, set(entity_ids[a:b]), set(relation_ids[c:d]))
+            for k, (a, b, c, d) in enumerate(zip(entity_starts, entity_starts[1:], relation_starts, relation_starts[1:]))
+        ],
+        parent_map=dict(zip(entity_ids, [entity_ids[p] for p in parents])),
+        build_params=build_params,
     )
+    h.relation_ends = ends
+    return h, EmbeddingTable(entity_ids, matrix, entity_rows), chunks, manifest
+
+
+def _read_manifest(directory: Path) -> tuple[IndexManifest, BuildParams | None]:
+    manifest_path = directory / "manifest.json"
+    if not manifest_path.is_file():
+        raise StoreError(f"no manifest at {manifest_path}")
+    try:
+        manifest = IndexManifest.from_dict(json.loads(manifest_path.read_text(encoding="utf-8")))
+        counts = [(stat["index"], stat["entities"], stat["relations"]) for stat in manifest.layer_stats]
+        build_params = BuildParams.from_dict(manifest.build_params) if manifest.build_params else None
+    except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
+        raise StoreError(f"manifest.json is malformed: {exc!r}") from None
+    if manifest.format_version != FORMAT_VERSION:
+        raise StoreError(
+            f"format_version {manifest.format_version} unsupported (expected {FORMAT_VERSION}); "
+            "build the index again"
+        )
+    indices = [index for index, _, _ in counts]
+    if not indices or indices != list(range(len(indices))):
+        raise StoreError(f"manifest.json: layer indices {indices} are not 0..k-1 for some k >= 1")
+    sizes = [size for _, *pair in counts for size in pair] + [manifest.embedding_dim]
+    if not all(type(size) is int and size >= 0 for size in sizes):
+        raise StoreError(f"manifest.json: layer sizes and embedding_dim must be integers >= 0, got {sizes}")
+    return manifest, build_params
+
+
+def _read_ids(
+    data: bytes, entity_counts: list[int], relation_counts: list[int]
+) -> tuple[list[str], dict[str, int], list[str], dict[str, int]]:
+    """The entity and relation ids of ids.json and their row numbers, checked
+    against the manifest's layer sizes."""
+    try:
+        doc = json.loads(data)
+        entity_ids, relation_ids = doc["entities"], doc["relations"]
+        if type(entity_ids) is not list or type(relation_ids) is not list:
+            raise TypeError("the entity and relation ids must be lists")
+        "".join(entity_ids + relation_ids)  # TypeError unless every id is a string
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"ids.json is malformed: {exc!r}") from None
+    rows = []
+    for kind, ids, counts in (("entity", entity_ids, entity_counts), ("relation", relation_ids, relation_counts)):
+        if len(ids) != sum(counts):
+            raise StoreError(f"ids.json: {len(ids)} {kind} ids, the manifest's layer sizes sum to {sum(counts)}")
+        rows.append(dict(zip(ids, range(len(ids)))))
+        if len(rows[-1]) != len(ids):
+            raise StoreError(f"ids.json: {kind} id {_repeated(ids)!r} appears twice")
+    for k, (a, b) in enumerate(itertools.pairwise(itertools.accumulate(entity_counts, initial=0))):
+        if entity_ids[a:b] != sorted(entity_ids[a:b]):
+            raise StoreError(f"ids.json: the layer-{k} entity ids are not in sorted order")
+    return entity_ids, rows[0], relation_ids, rows[1]
+
+
+def _read_structure(data: bytes, entity_counts: list[int], relation_counts: list[int]) -> dict[str, np.ndarray]:
+    """The arrays of structure.bin, as read-only views of its bytes."""
+    layout = _structure_layout(sum(entity_counts), sum(relation_counts))
+    size = sum(np.dtype(dtype).itemsize * length for _, dtype, length in layout)
+    if len(data) != size:
+        raise StoreError(f"structure.bin: {len(data)} bytes; the manifest's layer sizes need {size}")
+    arrays, offset = {}, 0
+    for name, dtype, length in layout:
+        arrays[name] = np.frombuffer(data, dtype, length, offset)
+        offset += arrays[name].nbytes
+    return arrays
+
+
+def _check_offsets(kind: str, offsets: np.ndarray, shard: str, size: int) -> None:
+    if offsets[0] != 0 or offsets[-1] != size or np.any(offsets[1:] <= offsets[:-1]):
+        raise StoreError(f"structure.bin: the {kind} row offsets do not increase from 0 to the {size} bytes of {shard}")
+
+
+def _check_links(
+    arrays: dict[str, np.ndarray],
+    entity_ids: list[str],
+    relation_ids: list[str],
+    entity_counts: list[int],
+    relation_counts: list[int],
+) -> None:
+    """Every parent is a row one layer up (-1 on the top layer), every relation
+    endpoint a row of the relation's own layer, every kind code known."""
+    n, top = len(entity_ids), len(entity_counts) - 1
+    entity_layer = np.repeat(np.arange(top + 1), entity_counts)
+    relation_layer = np.repeat(np.arange(top + 1), relation_counts)
+
+    def layer_of(rows: np.ndarray) -> np.ndarray:
+        """The layer of each row, and -1 for a value that is no row."""
+        found = (rows >= 0) & (rows < n)
+        layers = np.full(len(rows), -1)
+        layers[found] = entity_layer[rows[found]]
+        return layers
+
+    parents = arrays["parents"]
+    wrong = np.where(entity_layer == top, parents != -1, layer_of(parents) != entity_layer + 1)
+    for i in np.flatnonzero(wrong)[:1].tolist():
+        raise StoreError(
+            f"structure.bin: entity {entity_ids[i]!r} on layer {entity_layer[i]} has parent row {parents[i]}, "
+            + ("but it is on the top layer" if entity_layer[i] == top else f"which is not a row of layer {entity_layer[i] + 1}")
+        )
+    for end in ("sources", "targets"):
+        rows = arrays[end]
+        for j in np.flatnonzero(layer_of(rows) != relation_layer)[:1].tolist():
+            raise StoreError(
+                f"structure.bin: relation {relation_ids[j]!r} on layer {relation_layer[j]} has {end[:-1]} row "
+                f"{rows[j]}, which is not a row of its layer"
+            )
+    for j in np.flatnonzero(arrays["kinds"] >= len(RELATION_KINDS))[:1].tolist():
+        raise StoreError(f"structure.bin: relation {relation_ids[j]!r} has unknown kind code {arrays['kinds'][j]}")
+
+
+def _text_row(shard: str, text: bytes, offsets: np.ndarray, i: int) -> object:
+    try:
+        return json.loads(text[offsets[i] : offsets[i + 1]])
+    except ValueError as exc:
+        raise StoreError(f"{shard}: row {i} is malformed: {exc}") from None
+
+
+def _entity_reader(text: bytes, offsets: np.ndarray, ids: list[str], starts: list[int]) -> Callable[[int], Entity]:
+    """Entity row i from its text, checked against its id and layer in the structure."""
+
+    def entity(i: int) -> Entity:
+        row = _text_row("entities.jsonl", text, offsets, i)
+        try:
+            e = Entity.from_dict(row)
+        except _ROW_ERRORS as exc:
+            raise _malformed("entities.jsonl", row, exc) from None
+        layer = bisect_right(starts, i) - 1
+        if e.id != ids[i] or e.layer != layer:
+            raise StoreError(
+                f"entities.jsonl: row {i} holds entity {e.id!r} of layer {e.layer!r}, not {ids[i]!r} of layer {layer}"
+            )
+        return e
+
+    return entity
+
+
+def _relation_reader(
+    text: bytes, offsets: np.ndarray, ends: RelationEnds, kinds: np.ndarray, starts: list[int]
+) -> Callable[[int], Relation]:
+    """Relation row j from its text and the structure's endpoints and kind."""
+    entity_ids, relation_ids = ends.entity_ids, ends.relation_ids
+
+    def relation(j: int) -> Relation:
+        row = _text_row("relations.jsonl", text, offsets, j)
+        try:
+            r = Relation(
+                row["id"],
+                entity_ids[ends.sources[j]],
+                entity_ids[ends.targets[j]],
+                row["description"],
+                row["layer"],
+                RELATION_KINDS[kinds[j]],
+            )
+        except _ROW_ERRORS as exc:
+            raise _malformed("relations.jsonl", row, exc) from None
+        layer = bisect_right(starts, j) - 1
+        if r.id != relation_ids[j] or r.layer != layer:
+            raise StoreError(
+                f"relations.jsonl: row {j} holds relation {r.id!r} of layer {r.layer!r}, "
+                f"not {relation_ids[j]!r} of layer {layer}"
+            )
+        return r
+
+    return relation
+
+
+def _repeated(ids: list) -> object:
+    """An id that appears more than once in ids."""
+    return next(x for x, count in Counter(ids).items() if count > 1)
 
 
 def _malformed(name: str, row: object, exc: Exception) -> StoreError:

@@ -124,6 +124,31 @@ class TestBuild:
             assert provider_calls == []
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("out", ["stray-file", "regular-file", "empty-dir", "old-index"])
+    def test_out_must_be_missing_empty_or_an_index(self, tmp_path, ingest_file, built_index, capsys, provider_calls, out):
+        # a rebuild used to leave the shards of layers the new index lacks
+        target = tmp_path / out
+        if out == "stray-file":
+            target.mkdir()
+            (target / "notes.txt").write_text("mine")
+        elif out == "regular-file":
+            target.write_text("mine")
+        elif out == "empty-dir":
+            target.mkdir()
+        else:
+            target = built_index
+            (target / "entities_3.jsonl").write_text("{}")  # a shard an older build left behind
+        code = main(["build", "--input", str(ingest_file), "--out", str(target), "--cluster-size", "10", "--seed", "1"])
+        capsys.readouterr()
+        if out in ("stray-file", "regular-file"):
+            assert code == EXIT_USAGE
+            assert provider_calls == []
+            assert (target / "notes.txt" if out == "stray-file" else target).read_text() == "mine"
+        else:
+            assert code == EXIT_OK
+            assert "entities_3.jsonl" not in {p.name for p in target.iterdir()}
+            assert main(["stats", "--index", str(target)]) == EXIT_OK
+
     @pytest.mark.parametrize("body", [[1, 2], "text", None], ids=["list", "string", "null"])
     def test_provider_body_not_an_object_is_provider_error(self, tmp_path, ingest_file, capsys, monkeypatch, body):
         posts = []

@@ -1,5 +1,4 @@
 import builtins
-import gc
 import hashlib
 import io
 import json
@@ -12,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hierkg import cli
 from hierkg.cli import main
-from hierkg.errors import IngestError, StoreError
+from hierkg.errors import IngestError, InvalidArgumentError, StoreError
 from hierkg.model import (
     BuildParams,
     Chunk,
@@ -164,7 +164,8 @@ class TestIndexRoundTrip:
         h, embeddings, chunks, directory, manifest = build_small_index(tmp_path)
         h2, emb2, chunks2, manifest2 = load_index(directory)
         assert manifest2.content_hash == manifest.content_hash == content_hash_of(directory)
-        assert manifest2.format_version == FORMAT_VERSION
+        assert manifest2.format_version == FORMAT_VERSION == 2
+        assert sorted(os.listdir(directory)) == sorted(SHARD_NAMES + ["manifest.json"])
         assert set(h2.entities) == set(h.entities)
         assert set(h2.relations) == set(h.relations)
         assert h2.parent_map == h.parent_map
@@ -173,23 +174,31 @@ class TestIndexRoundTrip:
         assert set(chunks2) == set(chunks)
         assert h2.build_params.to_dict() == h.build_params.to_dict()
         assert validate_hierarchy(h2) == []
-        # equal objects in the same dict order: layer by layer, each layer in sorted-id order
+        # equal objects in the same order: layer by layer, each layer in sorted-id order
         assert list(h2.entities.items()) == list(h.entities.items())
         assert list(h2.relations.items()) == list(h.relations.items())
+        assert h2.entities == h.entities and h2.relations == h.relations
 
     def test_entity_rows_carry_parent_id(self, tmp_path):
-        # the on-disk format keeps one parent_id per entity row
+        # the structure keeps one parent row per entity row, -1 on the top layer,
+        # and the endpoints and kind of each relation row
         h, _, _, directory, _ = build_small_index(tmp_path)
         top = len(h.layers) - 1
         assert top >= 1
-        for layer in h.layers:
-            lines = (directory / f"entities_{layer.index}.jsonl").read_text(encoding="utf-8").splitlines()
-            rows = [json.loads(line) for line in lines]
-            assert [row["id"] for row in rows] == sorted(layer.entity_ids)
-            for row in rows:
-                assert sorted(row) == ["description", "id", "layer", "name", "parent_id", "source_chunk_ids"]
-                assert row["parent_id"] == h.parent_map.get(row["id"])
-                assert (row["parent_id"] is None) == (layer.index == top)
+        ids, arrays = read_structure(directory)
+        entity_ids, relation_ids = ids["entities"], ids["relations"]
+        assert entity_ids == EmbeddingTable.row_order(h)
+        assert relation_ids == [rid for layer in h.layers for rid in sorted(layer.relation_ids)]
+        for eid, parent in zip(entity_ids, arrays["parents"].tolist()):
+            assert (parent == -1) == (h.entities[eid].layer == top)
+            assert h.parent_map.get(eid) == (None if parent == -1 else entity_ids[parent])
+        for j, rid in enumerate(relation_ids):
+            r = h.relations[rid]
+            assert (entity_ids[arrays["sources"][j]], entity_ids[arrays["targets"][j]]) == (r.source_id, r.target_id)
+            assert list(RelationKind)[arrays["kinds"][j]] is r.kind
+        rows = [json.loads(line) for line in (directory / "entities.jsonl").read_bytes().split(b"\n") if line]
+        assert [row["id"] for row in rows] == entity_ids
+        assert all(sorted(row) == ["description", "id", "layer", "name", "source_chunk_ids"] for row in rows)
         assert load_index(directory)[0].parent_map == h.parent_map
 
     def test_embeddings_bit_exact(self, tmp_path):
@@ -198,9 +207,11 @@ class TestIndexRoundTrip:
         assert set(emb2) == set(embeddings)
         for eid, vec in embeddings.items():
             assert emb2[eid].tobytes() == np.asarray(vec, dtype="<f8").tobytes()
+        # the shard is the table's matrix, row order, and nothing else
+        assert (directory / "embeddings.bin").read_bytes() == embeddings.matrix.tobytes()
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
-        # the table is in layer order, the shard in sorted-id order
+        # the table's rows are in layer order, which is not the sorted-id order
         h, embeddings, chunks, directory, _ = build_small_index(tmp_path, cluster_size=4)
         h2, emb2, chunks2, _ = load_index(directory)
         assert emb2.ids == embeddings.ids == tuple(EmbeddingTable.row_order(h2))
@@ -222,7 +233,7 @@ class TestIndexRoundTrip:
 
     def test_jsonl_corruption_fails_closed(self, tmp_path):
         _, _, _, directory, _ = build_small_index(tmp_path)
-        target = directory / "entities_0.jsonl"
+        target = directory / "entities.jsonl"
         target.write_text(target.read_text(encoding="utf-8").replace("Entity 1", "Entity X"), encoding="utf-8")
         with pytest.raises(StoreError):
             load_index(directory)
@@ -243,6 +254,25 @@ class TestIndexRoundTrip:
         with pytest.raises(StoreError) as exc:
             load_index(directory)
         assert "format_version" in str(exc.value)
+
+    def test_format_1_index_names_its_version(self, tmp_path, caplog, capsys):
+        # a format-1 index: per-layer JSONL shards and an embedding shard with ids
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        for name in SHARD_NAMES:
+            (directory / name).unlink()
+        for name in ["entities_0.jsonl", "relations_0.jsonl", "entities_1.jsonl", "relations_1.jsonl", "chunks.jsonl"]:
+            (directory / name).write_text("", encoding="utf-8")
+        (directory / "embeddings.bin").write_bytes(b"HKGEMB1\x00")
+        mpath = directory / "manifest.json"
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        doc["format_version"] = 1
+        mpath.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(StoreError, match="format_version 1 unsupported"):
+            load_index(directory)
+        assert main(["stats", "--index", str(directory)]) == 3
+        assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
+        assert "format_version 1" in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_manifest_with_retired_build_keys_loads(self, tmp_path, capsys):
         h, _, _, directory, manifest = build_small_index(tmp_path)
@@ -272,14 +302,100 @@ class TestIndexRoundTrip:
         assert m1.content_hash != m3.content_hash
 
 
+class TestSave:
+    def test_resave_leaves_no_stale_shard(self, tmp_path):
+        # a 3-layer index saved again as a 2-layer one into the same directory
+        h, embeddings, chunks, directory, _ = build_small_index(tmp_path, cluster_size=4)
+        assert len(h.layers) == 3
+        (directory / "stray.txt").write_text("left by hand", encoding="utf-8")
+        h2, embeddings2, chunks2, _, manifest = build_small_index(tmp_path, name="two", cluster_size=10)
+        assert len(h2.layers) == 2
+        assert save_index(h2, embeddings2, chunks2, directory).content_hash == manifest.content_hash
+        assert sorted(os.listdir(directory)) == sorted(SHARD_NAMES + ["manifest.json"])
+        assert len(load_index(directory)[0].layers) == 2
+        assert sorted(os.listdir(tmp_path)) == ["idx", "two"]  # no staging directory left beside it
+
+    def test_interrupted_save_keeps_the_old_index(self, tmp_path, monkeypatch):
+        _, _, _, directory, manifest = build_small_index(tmp_path)
+        before = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+        h2, embeddings2, chunks2, _, _ = build_small_index(tmp_path, seed=4, name="other")
+        real_write_bytes = Path.write_bytes
+        written = []
+
+        def write_bytes(path, data):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(path.name)
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(h2, embeddings2, chunks2, directory)
+        monkeypatch.undo()
+        assert {name: (directory / name).read_bytes() for name in os.listdir(directory)} == before
+        assert load_index(directory)[3].content_hash == manifest.content_hash
+        assert sorted(os.listdir(tmp_path)) == ["idx", "other"]
+
+    @pytest.mark.parametrize("contents", ["stray-file", "regular-file"])
+    def test_out_must_be_missing_empty_or_an_index(self, tmp_path, contents):
+        h, embeddings, chunks, _, _ = build_small_index(tmp_path)
+        out = tmp_path / "out"
+        if contents == "stray-file":
+            out.mkdir()
+            (out / "notes.txt").write_text("mine", encoding="utf-8")
+        else:
+            out.write_text("mine", encoding="utf-8")
+        with pytest.raises(InvalidArgumentError, match="neither an empty directory nor an index"):
+            save_index(h, embeddings, chunks, out)
+        assert (out / "notes.txt" if contents == "stray-file" else out).read_text(encoding="utf-8") == "mine"
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        save_index(h, embeddings, chunks, empty)
+        assert load_index(empty)[0].parent_map == h.parent_map
+
+    @pytest.mark.parametrize("change", ["one-vector-short", "one-vector-extra"])
+    def test_embeddings_must_cover_the_hierarchy(self, tmp_path, change):
+        # the index used to be written, and load_index then refused it:
+        # "embeddings.bin: 51 vectors do not match the 52 entities"
+        h, embeddings, chunks, _, _ = build_small_index(tmp_path)
+        vectors = dict(embeddings.items())
+        if change == "one-vector-short":
+            del vectors[h.layer0_ids[0]]
+        else:
+            vectors["stranger"] = vectors[h.layer0_ids[0]]
+        out = tmp_path / "nested" / "out"
+        with pytest.raises(InvalidArgumentError, match="vectors for"):
+            save_index(h, vectors, chunks, out)
+        assert not (tmp_path / "nested").exists()
+
+
+def test_cold_query_reads_only_the_rows_it_renders(tmp_path, monkeypatch, capsys):
+    _, _, _, directory, _ = build_small_index(tmp_path, cluster_size=4)
+    loaded = []
+
+    def load(path):
+        loaded.append(load_index(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli.store, "load_index", load)
+    assert main(["query", "--index", str(directory), "--query", "glacier summit tundra", "--top-n", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    h = loaded[0][0]
+    rendered_relations = set(out["subgraph"]["path_relations"]) | set(out["subgraph"]["inter_cluster_relations"])
+    # LazyRows keeps each row it has made as a plain dict entry
+    assert set(dict.keys(h.entities)) <= set(out["subgraph"]["node_ids"])
+    assert set(dict.keys(h.relations)) <= rendered_relations
+    assert rendered_relations and dict.__len__(h.relations) < len(h.relations)
+    assert dict.__len__(h.entities) < len(h.entities)
+
+
+SHARD_NAMES = ["chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.jsonl", "structure.bin"]
+
+
 def content_hash_of(directory):
     """The documented content hash: SHA-256 over name, NUL, bytes of each shard in sorted name order."""
-    doc = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-    names = ["chunks.jsonl", "embeddings.bin"]
-    for stat in doc["layer_stats"]:
-        names += [f"entities_{stat['index']}.jsonl", f"relations_{stat['index']}.jsonl"]
     digest = hashlib.sha256()
-    for name in sorted(names):
+    for name in sorted(SHARD_NAMES):
         digest.update(name.encode("utf-8") + b"\x00" + (directory / name).read_bytes())
     return digest.hexdigest()
 
@@ -292,91 +408,157 @@ def rehash(directory):
     mpath.write_text(json.dumps(doc), encoding="utf-8")
 
 
-def edit_rows(path, edit):
-    """Apply edit to the list of rows of a JSONL shard and write it back."""
+def structure_layout(n, m):
+    """The documented arrays of structure.bin, back to back, for n entities and m relations."""
+    return [
+        ("entity_offsets", "<u8", n + 1),
+        ("relation_offsets", "<u8", m + 1),
+        ("parents", "<i4", n),
+        ("sources", "<i4", m),
+        ("targets", "<i4", m),
+        ("kinds", "u1", m),
+    ]
+
+
+def read_structure(directory):
+    """ids.json and the writable arrays of structure.bin."""
+    ids = json.loads((directory / "ids.json").read_bytes())
+    data = (directory / "structure.bin").read_bytes()
+    arrays, offset = {}, 0
+    for name, dtype, length in structure_layout(len(ids["entities"]), len(ids["relations"])):
+        arrays[name] = np.frombuffer(data, dtype, length, offset).copy()
+        offset += arrays[name].nbytes
+    assert offset == len(data)
+    return ids, arrays
+
+
+def write_structure(directory, ids, arrays):
+    (directory / "ids.json").write_text(json.dumps(ids), encoding="utf-8")
+    layout = structure_layout(len(arrays["parents"]), len(arrays["kinds"]))
+    (directory / "structure.bin").write_bytes(b"".join(arrays[name].astype(dtype).tobytes() for name, dtype, _ in layout))
+
+
+def edit_rows(directory, shard, edit):
+    """Apply edit to the list of rows of a JSONL shard, write it back and
+    rewrite the shard's row offsets in structure.bin."""
+    path = directory / shard
     rows = [json.loads(line) for line in path.read_bytes().split(b"\n") if line]
     edit(rows)
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    # a bytes row is written as it is
+    lines = [(row if isinstance(row, bytes) else json.dumps(row).encode("utf-8")) + b"\n" for row in rows]
+    path.write_bytes(b"".join(lines))
+    if shard in ("entities.jsonl", "relations.jsonl"):
+        ids, arrays = read_structure(directory)
+        offsets = np.cumsum([0] + [len(line) for line in lines])
+        arrays["entity_offsets" if shard == "entities.jsonl" else "relation_offsets"][:] = offsets
+        write_structure(directory, ids, arrays)
 
 
-def first_row_not_object(rows):
-    rows[0] = [1, 2]
+def edit_structure(edit):
+    """An edit of ids.json and structure.bin, given the ids and the arrays."""
+
+    def apply(directory):
+        ids, arrays = read_structure(directory)
+        edit(ids, arrays)
+        write_structure(directory, ids, arrays)
+
+    return apply
 
 
-def set_first_kind(rows):
-    rows[0]["kind"] = "sideways"
+def edit_text(shard, edit):
+    return lambda directory: edit_rows(directory, shard, edit)
 
 
-def drop_first_layer(rows):
-    del rows[0]["layer"]
+def row_of(directory, kind, rid):
+    return json.loads((directory / "ids.json").read_bytes())[kind].index(rid)
 
 
-def drop_last_row(rows):
-    rows.pop()
+def first_row_of_layer(ids, kind, layer):
+    # build_small_index(cluster_size=4) ids: e0000.. on layer 0, agg:1:.. on layer 1, agg:2:.. on layer 2;
+    # relations r00000.. on layer 0, agg:1:r.. on layer 1
+    prefix = {0: "e" if kind == "entities" else "r", 1: "agg:1:", 2: "agg:2:"}[layer]
+    return next(i for i, x in enumerate(ids[kind]) if x.startswith(prefix))
 
 
-def set_first_kind_inherited(rows):
-    # a kind the format once listed and nothing ever wrote
-    rows[0]["kind"] = "intra_cluster_inherited"
+def set_row(kind, on_layer, **changes):
+    """Edit the first text row of a layer of entities.jsonl or relations.jsonl."""
+
+    def edit(rows):
+        ids = {"entities": [], "relations": []}
+        ids[kind] = [row["id"] for row in rows]
+        i = first_row_of_layer(ids, kind, on_layer)
+        if "row" in changes:
+            rows[i] = changes["row"]
+        else:
+            rows[i] = {key: value for key, value in {**rows[i], **changes}.items() if value is not DROP}
+
+    return edit_text(f"{kind}.jsonl", edit)
 
 
-def set_first_target_ghost(rows):
-    rows[0]["target_id"] = "ghost"
+DROP = object()
 
 
-def set_first_layer_zero(rows):
-    rows[0]["layer"] = 0
+def set_array(name, kind, layer, value):
+    def edit(ids, arrays):
+        arrays[name][first_row_of_layer(ids, kind, layer)] = value(ids, arrays) if callable(value) else value
+
+    return edit_structure(edit)
 
 
-def repeat_first_id(rows):
+def rename_id(kind, layer, new):
+    def edit(ids, arrays):
+        i = first_row_of_layer(ids, kind, layer)
+        ids[kind][i] = new(ids) if callable(new) else new
+
+    return edit_structure(edit)
+
+
+def chunk_edit(edit):
+    return edit_text("chunks.jsonl", edit)
+
+
+def repeat_first_chunk_id(rows):
     rows[1]["id"] = rows[0]["id"]
 
 
-def set_first_id_of_layer0(rows):
-    # r00000 is the first relation of relations_0.jsonl
-    rows[0]["id"] = "r00000"
-
-
-def set_first_layer_one(rows):
-    rows[0]["layer"] = 1
-
-
-def set_first_source_layer0(rows):
-    # e0000 is a layer-0 entity (tests/helpers.py::make_layer0)
-    rows[0]["source_id"] = "e0000"
-
-
-def set_first_parent_two_layers_up(rows):
-    # agg:2:0 is on layer 2, one layer above the layer-1 parent e0000 has
-    rows[0]["parent_id"] = "agg:2:0"
-
-
-def set_first_id_int(rows):
+def set_first_chunk_id_int(rows):
     rows[0]["id"] = 7
 
 
 class TestLoadFailsClosed:
     """Shards that pass the hash check but disagree with the format or the
-    manifest raise StoreError naming the shard; the CLI exits 3."""
+    manifest raise StoreError naming the shard: the structure at load, a
+    text row at its first read. The CLI exits 3 either way."""
 
     @pytest.mark.parametrize(
-        "shard, edit",
+        "shard, edit, when",
         [
-            ("entities_2.jsonl", first_row_not_object),
-            ("relations_1.jsonl", set_first_kind),
-            ("relations_1.jsonl", drop_first_layer),
-            ("relations_0.jsonl", set_first_kind_inherited),
-            ("relations_0.jsonl", set_first_target_ghost),
-            ("entities_1.jsonl", set_first_layer_zero),
-            ("entities_1.jsonl", repeat_first_id),
-            ("relations_0.jsonl", repeat_first_id),
-            ("relations_1.jsonl", set_first_id_of_layer0),
-            ("relations_0.jsonl", set_first_layer_one),
-            ("relations_1.jsonl", set_first_source_layer0),
-            ("chunks.jsonl", repeat_first_id),
-            ("entities_0.jsonl", set_first_parent_two_layers_up),
-            ("relations_1.jsonl", set_first_id_int),
-            ("chunks.jsonl", set_first_id_int),
+            ("entities.jsonl", set_row("entities", 2, row=[1, 2]), "read"),
+            ("structure.bin", set_array("kinds", "relations", 1, 255), "load"),
+            ("relations.jsonl", set_row("relations", 1, layer=DROP), "read"),
+            # a kind the format once listed and nothing ever wrote: the code after the three kinds
+            ("structure.bin", set_array("kinds", "relations", 0, len(RelationKind)), "load"),
+            ("structure.bin", set_array("targets", "relations", 0, lambda ids, _: len(ids["entities"])), "load"),
+            ("entities.jsonl", set_row("entities", 1, layer=0), "read"),
+            ("ids.json", rename_id("entities", 1, lambda ids: ids["entities"][first_row_of_layer(ids, "entities", 1) + 1]), "load"),
+            ("ids.json", rename_id("relations", 0, lambda ids: ids["relations"][1]), "load"),
+            ("ids.json", rename_id("relations", 1, "r00000"), "load"),
+            ("relations.jsonl", set_row("relations", 0, layer=1), "read"),
+            ("structure.bin", set_array("sources", "relations", 1, 0), "load"),
+            ("chunks.jsonl", chunk_edit(repeat_first_chunk_id), "load"),
+            # e0000's parent moves from its layer-1 aggregate to a layer-2 one
+            ("structure.bin", set_array("parents", "entities", 0, lambda ids, _: first_row_of_layer(ids, "entities", 2)), "load"),
+            ("ids.json", rename_id("relations", 1, 7), "load"),
+            ("chunks.jsonl", chunk_edit(set_first_chunk_id_int), "load"),
+            ("entities.jsonl", set_row("entities", 0, id="e9999"), "read"),
+            ("relations.jsonl", set_row("relations", 1, id="agg:1:r9999"), "read"),
+            ("relations.jsonl", set_row("relations", 0, row=b"{not json"), "read"),
+            ("structure.bin", set_array("sources", "relations", 0, -1), "load"),
+            ("structure.bin", set_array("parents", "entities", 2, 0), "load"),
+            ("structure.bin", set_array("parents", "entities", 1, -1), "load"),
+            ("structure.bin", set_array("entity_offsets", "entities", 1, 0), "load"),
+            ("structure.bin", set_array("relation_offsets", "relations", 1, lambda *_: 10**9), "load"),
+            ("ids.json", rename_id("entities", 0, "e9999"), "load"),
         ],
         ids=[
             "entity-row-not-object",
@@ -394,59 +576,98 @@ class TestLoadFailsClosed:
             "parent-two-layers-up",
             "relation-id-not-string",
             "chunk-id-not-string",
+            "entity-row-id-differs",
+            "relation-row-id-differs",
+            "relation-row-not-json",
+            "negative-endpoint-row",
+            "parent-on-top-layer",
+            "no-parent-below-top",
+            "offsets-decrease",
+            "offsets-past-end",
+            "entity-ids-unsorted",
         ],
     )
-    def test_malformed_row(self, tmp_path, caplog, shard, edit):
+    def test_malformed_row(self, tmp_path, caplog, shard, edit, when):
         _, _, _, directory, _ = build_small_index(tmp_path, cluster_size=4)
-        edit_rows(directory / shard, edit)
+        edit(directory)
         rehash(directory)
-        with pytest.raises(StoreError) as exc:
-            load_index(directory)
+        if when == "load":
+            with pytest.raises(StoreError) as exc:
+                load_index(directory)
+        else:
+            h, _, _, _ = load_index(directory)
+            with pytest.raises(StoreError) as exc:
+                validate_hierarchy(h)  # reads every row
         assert shard in str(exc.value)
         assert main(["stats", "--index", str(directory)]) == 3
         assert shard in caplog.text
 
-    @pytest.mark.parametrize("shard", ["entities_1.jsonl", "relations_0.jsonl"])
-    def test_row_count_differs_from_manifest(self, tmp_path, shard):
+    @pytest.mark.parametrize("key", ["entities", "relations"])
+    def test_layer_sizes_differ_from_ids(self, tmp_path, key):
+        # the manifest's layer sizes must sum to the number of ids
         _, _, _, directory, _ = build_small_index(tmp_path, cluster_size=4)
-        edit_rows(directory / shard, drop_last_row)
-        rehash(directory)
+        mpath = directory / "manifest.json"
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        doc["layer_stats"][1][key] -= 1
+        mpath.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(StoreError) as exc:
             load_index(directory)
-        assert shard in str(exc.value) and "manifest" in str(exc.value)
+        assert "ids.json" in str(exc.value) and "manifest" in str(exc.value)
+        assert main(["stats", "--index", str(directory)]) == 3
+
+    def test_layer_sizes_shifted_between_layers(self, tmp_path):
+        # the same total, but one entity moved from layer 1 to layer 2
+        _, _, _, directory, _ = build_small_index(tmp_path, cluster_size=4)
+        mpath = directory / "manifest.json"
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        doc["layer_stats"][1]["entities"] -= 1
+        doc["layer_stats"][2]["entities"] += 1
+        mpath.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(StoreError):
+            load_index(directory)
 
     def test_embedding_count_differs_from_entities(self, tmp_path):
-        h, embeddings, chunks, directory, _ = build_small_index(tmp_path)
-        short = dict(sorted(embeddings.items())[1:])
-        save_index(h, short, chunks, tmp_path / "short")
-        shutil.copyfile(tmp_path / "short" / "embeddings.bin", directory / "embeddings.bin")
+        # a truncated embedding shard: the last vector is missing
+        _, embeddings, _, directory, _ = build_small_index(tmp_path)
+        shard = directory / "embeddings.bin"
+        shard.write_bytes(shard.read_bytes()[: -embeddings.matrix.shape[1] * 8])
         rehash(directory)
         with pytest.raises(StoreError) as exc:
             load_index(directory)
         assert "embeddings.bin" in str(exc.value)
+        assert main(["stats", "--index", str(directory)]) == 3
 
     def test_dangling_parent_fails_query(self, tmp_path, caplog):
-        # this index used to load, and `hierkg query` then died with KeyError: 'ghost'
+        # a parent row past the last entity; a dangling parent_id once loaded,
+        # and `hierkg query` then died with KeyError: 'ghost'
         _, _, _, directory, _ = build_small_index(tmp_path)
-        edit_rows(directory / "entities_0.jsonl", lambda rows: [row.update(parent_id="ghost") for row in rows])
+        edit_structure(lambda ids, arrays: arrays["parents"].__setitem__(0, len(ids["entities"])))(directory)
         rehash(directory)
         with pytest.raises(StoreError) as exc:
             load_index(directory)
-        assert "entities_0.jsonl" in str(exc.value) and "ghost" in str(exc.value)
+        assert "structure.bin" in str(exc.value) and "parent" in str(exc.value)
         assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
-        assert "entities_0.jsonl" in caplog.text
+        assert "structure.bin" in caplog.text
 
-    @pytest.mark.parametrize("replacement", [b"x0001", b"e0000"], ids=["unknown-id", "repeated-id"])
-    def test_embedding_ids_differ_from_entities(self, tmp_path, replacement):
+    def test_bad_text_row_fails_query_at_first_read(self, tmp_path, caplog, capsys):
+        # the index loads; the query fails when it reads a broken entity row
         _, _, _, directory, _ = build_small_index(tmp_path)
-        shard = directory / "embeddings.bin"
-        data = shard.read_bytes()
-        assert data.count(b"e0001") == 1
-        shard.write_bytes(data.replace(b"e0001", replacement))
+        edit_rows(directory, "entities.jsonl", lambda rows: [row.update(name=None, layer="zero") for row in rows])
+        rehash(directory)
+        load_index(directory)
+        assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
+        assert "entities.jsonl" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("replacement", ["x0001", "e0000"], ids=["unknown-id", "repeated-id"])
+    def test_embedding_ids_differ_from_entities(self, tmp_path, replacement):
+        # ids.json labels the rows of the embedding matrix and of the text shards
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        edit_structure(lambda ids, arrays: ids["entities"].__setitem__(1, replacement))(directory)
         rehash(directory)
         with pytest.raises(StoreError) as exc:
             load_index(directory)
-        assert "embeddings.bin" in str(exc.value) and replacement.decode() in str(exc.value)
+        assert "ids.json" in str(exc.value)
 
     def test_embedding_dim_differs_from_manifest(self, tmp_path):
         _, _, _, directory, manifest = build_small_index(tmp_path)
@@ -487,7 +708,6 @@ class TestLoadFailsClosed:
         assert [stat["index"] for stat in doc["layer_stats"]] == [0, 1, 2]
         doc["layer_stats"] = [doc["layer_stats"][index] for index in kept]
         mpath.write_text(json.dumps(doc), encoding="utf-8")
-        rehash(directory)  # over the shards of the layers kept
         with pytest.raises(StoreError, match="layer indices"):
             load_index(directory)
         assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
@@ -543,31 +763,6 @@ def test_load_reads_each_file_once(tmp_path, monkeypatch):
     # pathlib opens files through io.open, plain code through builtins.open
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
-    load_index(directory)
+    h, _, _, _ = load_index(directory)
+    validate_hierarchy(h)  # reading every row opens nothing
     assert reads == Counter(os.listdir(directory))
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_load_pauses_and_restores_gc(tmp_path, monkeypatch, enabled):
-    # the cyclic collector is off while a load builds objects; a load, failed
-    # or not, leaves it as it found it
-    _, _, _, directory, _ = build_small_index(tmp_path)
-    seen = []
-    real_read_embeddings = store._read_embeddings
-
-    def read_embeddings(*args):
-        seen.append(gc.isenabled())
-        return real_read_embeddings(*args)
-
-    monkeypatch.setattr(store, "_read_embeddings", read_embeddings)
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        load_index(directory)
-        assert seen == [False]
-        assert gc.isenabled() is enabled
-        with pytest.raises(StoreError):
-            load_index(tmp_path / "nowhere")
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
