@@ -6,16 +6,19 @@ generated aggregate entities plus inter-cluster relations. Parent links
 form a forest (each entity has at most one parent, one layer up). The
 entity vectors live in one EmbeddingTable, in layer order. RelationEnds
 holds every relation's endpoints as entity rows, from which the
-neighbour views are made; a loaded index's entities and relations are
-LazyRows maps, which make each row on its first read.
+neighbour views are made; a loaded index's entities, relations and chunks
+are LazyRows maps, which make each row on its first read, and its layers'
+id sets are IdRange views of the id lists.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -33,9 +36,7 @@ _KIND_BY_VALUE = {kind.value: kind for kind in RelationKind}
 
 
 # A build makes one Entity or Relation per record, and a load one per row
-# that is read. Slots make each object smaller and cheaper to create, and
-# from_dict passes its arguments positionally: a keyword call into
-# __init__ costs about twice as much.
+# that is read. Slots make each object smaller and cheaper to create.
 @dataclass(slots=True)
 class Entity:
     id: str
@@ -52,10 +53,6 @@ class Entity:
             "layer": self.layer,
             "source_chunk_ids": list(self.source_chunk_ids),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Entity":
-        return cls(d["id"], d["name"], d["description"], d["layer"], list(d.get("source_chunk_ids", [])))
 
 
 @dataclass(slots=True)
@@ -107,9 +104,37 @@ class Chunk:
 
 @dataclass
 class GraphLayer:
+    """The ids of one layer: sets in a build, read-only IdRange views in a load."""
+
     index: int
-    entity_ids: set[str] = field(default_factory=set)
-    relation_ids: set[str] = field(default_factory=set)
+    entity_ids: set[str] | IdRange = field(default_factory=set)
+    relation_ids: set[str] | IdRange = field(default_factory=set)
+
+
+class IdRange(AbstractSet[str]):
+    """A read-only set view of ids[start:stop], which iterates in list order.
+
+    rows maps every id of ids to its index, so membership is one dict
+    lookup; the view copies nothing. Set operations return plain sets.
+    """
+
+    __slots__ = ("_ids", "_rows", "_start", "_stop")
+
+    def __init__(self, ids: Sequence[str], rows: Mapping[str, int], start: int, stop: int):
+        self._ids, self._rows, self._start, self._stop = ids, rows, start, stop
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[str]) -> set[str]:
+        return set(it)
+
+    def __contains__(self, x: object) -> bool:
+        return self._start <= self._rows.get(x, -1) < self._stop
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(self._ids, self._start, self._stop)
+
+    def __len__(self) -> int:
+        return self._stop - self._start
 
 
 @dataclass

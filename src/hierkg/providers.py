@@ -87,18 +87,10 @@ class MockEmbeddingProvider:
 
     def _embed_one(self, text: str) -> np.ndarray:
         t = text.lower()
-        v = np.zeros(self.dim, dtype=np.float64)
-        if len(t) < 3:
-            v[zlib.crc32(t.encode("utf-8")) % self.dim] = 1.0
-        else:
-            for i in range(len(t) - 2):
-                tri = t[i : i + 3]
-                v[zlib.crc32(tri.encode("utf-8")) % self.dim] += 1.0
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            v[0] = 1.0
-            norm = 1.0
-        return v / norm
+        grams = [t] if len(t) < 3 else [t[i : i + 3] for i in range(len(t) - 2)]
+        # every text has at least one gram, so the counts are never all zero
+        v = np.bincount([zlib.crc32(g.encode("utf-8")) % self.dim for g in grams], minlength=self.dim).astype(np.float64)
+        return v / np.linalg.norm(v)
 
 
 class MockGenerationProvider:
@@ -180,6 +172,13 @@ def _default_post(url: str, payload: dict, timeout: float) -> dict:
     return resp.json()
 
 
+def _http_status(exc: OSError) -> int | None:
+    """The HTTP status of a failed request (requests.HTTPError carries its
+    response), or None for a failure with no response, such as a refused
+    connection or a timeout."""
+    return getattr(getattr(exc, "response", None), "status_code", None)
+
+
 class _RetryingHttpClient:
     def __init__(self, config: ProviderConfig, post=None, sleep=time.sleep):
         self.config = config
@@ -187,13 +186,22 @@ class _RetryingHttpClient:
         self._sleep = sleep
 
     def call(self, payload: dict) -> dict:
-        """The response body, which must be a JSON object; a body of any
-        other type is a ProviderUnavailableError, raised without a retry."""
+        """The response body, which must be a JSON object.
+
+        Only what a retry can mend is retried, with backoff: an OSError
+        (requests' exceptions are OSErrors) without a response, or with
+        HTTP status 429 or 5xx. Any other 4xx, and a body that is not a
+        JSON object, is a ProviderUnavailableError raised without a retry.
+        Any other exception propagates.
+        """
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             try:
                 body = self._post(self.config.endpoint, payload, self.config.timeout_seconds)
-            except Exception as exc:  # transport-level failure, retry with backoff
+            except OSError as exc:
+                status = _http_status(exc)
+                if status is not None and 400 <= status < 500 and status != 429:
+                    raise ProviderUnavailableError(f"{self.config.endpoint} refused the request: {exc}") from None
                 last_error = exc
                 if attempt < self.config.max_retries:
                     self._sleep(self.config.backoff_seconds * (2**attempt))

@@ -3,25 +3,35 @@
 Ingest reads line-delimited JSON records (entity / relation / chunk,
 discriminated by a "type" tag) and produces a validated layer-0 graph.
 
-A built index is a directory in format 2, which keeps the structure
-apart from the text. Entity rows are numbered in EmbeddingTable.row_order
-(layer by layer, layer 0 first, each layer in sorted-id order) and
-relation rows layer by layer, each layer in sorted-id order; the
-manifest's layer_stats give each layer's entity and relation counts.
+A built index is a directory in format 3, which keeps the structure
+apart from the text and stores each fact once. Entity rows are numbered
+in EmbeddingTable.row_order (layer by layer, layer 0 first, each layer in
+sorted-id order), relation rows layer by layer, each layer in sorted-id
+order, and chunk rows in sorted-id order; the manifest's layer_stats give
+each layer's entity and relation counts.
 
     manifest.json    format_version, build params, layer_stats, embedding_dim,
                      provider ids, content_hash
-    ids.json         {"entities": [ids by row], "relations": [ids by row]}
-    structure.bin    back to back, for n entities and m relations:
-                     entity and relation text offsets (<u8, n + 1 and m + 1:
-                     row i is bytes offsets[i]:offsets[i + 1] of its shard),
-                     parent rows (<i4, n; -1 on the top layer),
+    ids.json         {"entities": [ids by row], "relations": [ids by row],
+                      "chunks": [ids by row]}
+    structure.bin    back to back, for n entities, m relations and c chunks:
+                     entity, relation and chunk text offsets (<u8, n + 1,
+                     m + 1 and c + 1: row i is bytes offsets[i]:offsets[i + 1]
+                     of its shard), parent rows (<i4, n; -1 on the top layer),
                      relation source and target rows (<i4, m each),
                      relation kinds (u1, m; codes in RelationKind order)
     embeddings.bin   the (n, embedding_dim) vectors as raw <f8, in row order
-    entities.jsonl   one row per entity: Entity.to_dict()
-    relations.jsonl  one row per relation: id, description, layer
-    chunks.jsonl     one row per chunk: Chunk.to_dict()
+    entities.jsonl   one JSON line per entity: [name, description, source_chunk_ids]
+    relations.txt    each relation's description as raw UTF-8, no separator;
+                     empty for an inter_cluster_concatenated relation
+    chunks.jsonl     one JSON line per chunk: [text, doc_id, token_count]
+
+Ids and layers live only in ids.json and the layer sizes. An
+inter_cluster_concatenated relation between aggregates A and B stores no
+text: its description is the "; "-join, in row order, of the descriptions
+of the relations one layer down whose endpoints' parents are A and B (its
+evidence, as bucket_relations finds it). save_index refuses a hierarchy
+in which that join differs from the stored description.
 
 The manifest's content hash is SHA-256 over each shard's name, a NUL
 byte and its bytes, in sorted name order. save_index writes the whole
@@ -36,17 +46,19 @@ A load reads each shard once and verifies the content hash before
 anything else. It then checks the structure with whole-array checks:
 manifest layer indices exactly 0..k-1 for some k >= 1, layer sizes
 that sum to the id counts, ids that are strings and do not repeat,
-entity ids sorted within each layer, offsets that increase from 0 to
-their shard's length, every row index in range, each parent exactly one
-layer up (none on the top layer), both endpoints of a relation on the
-relation's own layer, known kind codes and an embedding shard of
-exactly n * embedding_dim * 8 bytes. Any failure raises StoreError (CLI
-exit 3). The embedding table is a read-only view of the bytes read.
-parent_map is a plain dict; entities and relations are LazyRows maps
-that parse a text row on its first read. A row that is malformed, or
-whose id or layer differs from the structure, raises StoreError at that
-read, so a query fails with exit 3 when it reaches one. A format-1 index
-is refused with a StoreError naming its version.
+entity ids sorted within each layer, offsets that do not decrease from 0
+to their shard's length, every row index in range, each parent exactly
+one layer up (none on the top layer), both endpoints of a relation on
+the relation's own layer, known kind codes, an empty relation text row
+exactly for each concatenated relation and an embedding shard of exactly
+n * embedding_dim * 8 bytes. Any failure raises StoreError (CLI exit 3).
+The embedding table is a read-only view of the bytes read. parent_map is
+a plain dict and each layer's id sets are IdRange views of the id lists;
+entities, relations and chunks are LazyRows maps that make a row on its
+first read. A row that is malformed, a relation row that is not UTF-8 and
+a concatenated relation with no evidence raise StoreError at that read,
+so a query fails with exit 3 when it reaches one. An index of an earlier
+format is refused with a StoreError naming its version.
 """
 
 from __future__ import annotations
@@ -72,6 +84,7 @@ from .model import (
     Entity,
     GraphLayer,
     Hierarchy,
+    IdRange,
     LazyRows,
     Relation,
     RelationEnds,
@@ -79,12 +92,11 @@ from .model import (
 )
 from .providers import count_tokens
 
-FORMAT_VERSION = 2
-SHARDS = ("chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.jsonl", "structure.bin")
+FORMAT_VERSION = 3
+SHARDS = ("chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.txt", "structure.bin")
 # structure.bin stores a relation's kind as its index in this tuple
 RELATION_KINDS = tuple(RelationKind)
-# what a row of the wrong shape raises while it is turned into a model object
-_ROW_ERRORS = (KeyError, TypeError, ValueError)
+CONCATENATED = RELATION_KINDS.index(RelationKind.INTER_CLUSTER_CONCATENATED)
 
 
 @dataclass
@@ -233,18 +245,23 @@ def _require(record: dict, key: str, lineno: int) -> str:
     return value
 
 
-def _text_shard(rows: Iterable[dict]) -> tuple[bytes, np.ndarray]:
-    """One JSON line per row, and the offset of each row's first byte followed by the shard's length."""
-    lines = [(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8") for row in rows]
-    offsets = np.fromiter(itertools.accumulate(map(len, lines), initial=0), "<u8", len(lines) + 1)
-    return b"".join(lines), offsets
+def _text_shard(rows: Iterable[bytes]) -> tuple[bytes, np.ndarray]:
+    """The rows back to back, and the offset of each row's first byte followed by the shard's length."""
+    rows = list(rows)
+    offsets = np.fromiter(itertools.accumulate(map(len, rows), initial=0), "<u8", len(rows) + 1)
+    return b"".join(rows), offsets
 
 
-def _structure_layout(n_entities: int, n_relations: int) -> list[tuple[str, str, int]]:
+def _json_line(values: list) -> bytes:
+    return (json.dumps(values, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _structure_layout(n_entities: int, n_relations: int, n_chunks: int) -> list[tuple[str, str, int]]:
     """The arrays of structure.bin in file order: (name, dtype, length)."""
     return [
         ("entity_offsets", "<u8", n_entities + 1),
         ("relation_offsets", "<u8", n_relations + 1),
+        ("chunk_offsets", "<u8", n_chunks + 1),
         ("parents", "<i4", n_entities),
         ("sources", "<i4", n_relations),
         ("targets", "<i4", n_relations),
@@ -252,20 +269,32 @@ def _structure_layout(n_entities: int, n_relations: int) -> list[tuple[str, str,
     ]
 
 
-def _parse_jsonl(data: bytes, name: str) -> list:
-    """Parse one JSONL shard with a single json.loads.
+class _Evidence:
+    """The relations a concatenated relation is made from.
 
-    Lines are split on b"\n" only: the writer leaves U+2028, U+2029 and
-    U+0085 raw inside strings, and str.splitlines() would split on them.
+    For aggregates a and b (entity rows), the evidence is the relations one
+    layer down whose endpoints' parents are a and b: the crossing relations
+    bucket_relations finds for that pair. One sort of the crossing
+    relations' parent-pair keys finds it for all pairs.
     """
-    lines = [line for line in data.split(b"\n") if line.strip()]
-    try:
-        rows = json.loads((b"[" + b",".join(lines) + b"]").decode("utf-8"))
-    except ValueError as exc:
-        raise StoreError(f"{name}: malformed JSON: {exc}") from None
-    if len(rows) != len(lines):
-        raise StoreError(f"{name}: {len(lines)} lines hold {len(rows)} rows")
-    return rows
+
+    def __init__(self, parents: np.ndarray, sources: np.ndarray, targets: np.ndarray):
+        self._n = len(parents)
+        up_s, up_t = parents[sources], parents[targets]
+        # a relation within one cluster, or on the top layer, is no pair's evidence
+        rows = np.flatnonzero((up_s != up_t) & (up_s >= 0) & (up_t >= 0))
+        keys = self._key(up_s[rows], up_t[rows])
+        order = np.argsort(keys)
+        self._rows, self._keys = rows[order], keys[order]
+
+    def _key(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.minimum(a, b).astype(np.int64) * self._n + np.maximum(a, b)
+
+    def rows(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+        """For each pair (a[i], b[i]) of aggregate rows, the rows of its evidence in row order."""
+        keys = self._key(a, b)
+        lo, hi = np.searchsorted(self._keys, keys, "left"), np.searchsorted(self._keys, keys, "right")
+        return [np.sort(self._rows[i:j]) for i, j in zip(lo.tolist(), hi.tolist())]
 
 
 def _content_hash(names: Iterable[str], data_of: Callable[[str], bytes]) -> str:
@@ -300,12 +329,14 @@ def save_index(
     directory: str | Path,
     provider_ids: dict | None = None,
 ) -> IndexManifest:
-    """Write h, one vector per entity and the chunks as a format-2 index.
+    """Write h, one vector per entity and the chunks as a format-3 index.
 
     Raises InvalidArgumentError before writing anything when directory
     fails check_out_dir, when the vectors' ids differ from the entities
-    of h's layers or when a relation or parent link names an entity that
-    no layer lists.
+    of h's layers, when a relation or parent link names an entity that
+    no layer lists, or when a relation's text cannot be stored once: a
+    concatenated relation whose description is not the join of its
+    evidence, or another relation with an empty description.
     """
     directory = Path(directory).absolute()
     check_out_dir(directory)
@@ -318,30 +349,41 @@ def save_index(
     try:
         ends = RelationEnds.of(h, entity_ids, relation_ids)
         rows = ends.entity_rows
-        parents = [rows[h.parent_map[eid]] if eid in h.parent_map else -1 for eid in entity_ids]
+        parents = np.array([rows[h.parent_map[eid]] if eid in h.parent_map else -1 for eid in entity_ids], np.int32)
     except KeyError as exc:
         raise InvalidArgumentError(f"cannot save: {exc.args[0]!r} is not listed by any layer of the hierarchy") from None
     relations = [h.relations[rid] for rid in relation_ids]
-    entity_text, entity_offsets = _text_shard(h.entities[eid].to_dict() for eid in entity_ids)
-    relation_text, relation_offsets = _text_shard(
-        {"id": r.id, "description": r.description, "layer": r.layer} for r in relations
-    )
     code_of = {kind: code for code, kind in enumerate(RELATION_KINDS)}
+    kinds = np.fromiter((code_of[r.kind] for r in relations), np.uint8, len(relations))
+    descriptions = [r.description for r in relations]
+    relation_text, relation_offsets = _text_shard(
+        b"" if code == CONCATENATED else text.encode("utf-8") for text, code in zip(descriptions, kinds.tolist())
+    )
+    _check_relation_text(descriptions, kinds, relation_offsets, _Evidence(parents, ends.sources, ends.targets), ends)
+    entity_text, entity_offsets = _text_shard(
+        _json_line([e.name, e.description, e.source_chunk_ids]) for e in map(h.entities.__getitem__, entity_ids)
+    )
+    chunk_ids = sorted(chunks)
+    chunk_text, chunk_offsets = _text_shard(
+        _json_line([c.text, c.doc_id, c.token_count]) for c in map(chunks.__getitem__, chunk_ids)
+    )
     arrays = {
         "entity_offsets": entity_offsets,
         "relation_offsets": relation_offsets,
+        "chunk_offsets": chunk_offsets,
         "parents": parents,
         "sources": ends.sources,
         "targets": ends.targets,
-        "kinds": [code_of[r.kind] for r in relations],
+        "kinds": kinds,
     }
-    layout = _structure_layout(len(entity_ids), len(relation_ids))
+    layout = _structure_layout(len(entity_ids), len(relation_ids), len(chunk_ids))
+    ids = {"entities": entity_ids, "relations": relation_ids, "chunks": chunk_ids}
     shards = {
-        "chunks.jsonl": _text_shard(chunks[cid].to_dict() for cid in sorted(chunks))[0],
+        "chunks.jsonl": chunk_text,
         "embeddings.bin": table.matrix.data,
         "entities.jsonl": entity_text,
-        "ids.json": json.dumps({"entities": entity_ids, "relations": relation_ids}, ensure_ascii=False).encode("utf-8"),
-        "relations.jsonl": relation_text,
+        "ids.json": json.dumps(ids, ensure_ascii=False).encode("utf-8"),
+        "relations.txt": relation_text,
         "structure.bin": b"".join(np.asarray(arrays[name], dtype).tobytes() for name, dtype, _ in layout),
     }
     manifest = IndexManifest(
@@ -374,6 +416,25 @@ def save_index(
     return manifest
 
 
+def _check_relation_text(
+    descriptions: list[str], kinds: np.ndarray, offsets: np.ndarray, evidence: _Evidence, ends: RelationEnds
+) -> None:
+    """Raise InvalidArgumentError unless the text rows lose nothing: every
+    other relation's row is non-empty, and every concatenated relation's
+    description is the "; "-join of its evidence's descriptions in row order."""
+    concatenated = kinds == CONCATENATED
+    for j in np.flatnonzero(~concatenated & (offsets[1:] == offsets[:-1]))[:1].tolist():
+        raise InvalidArgumentError(f"cannot save: relation {ends.relation_ids[j]!r} has an empty description")
+    rows = np.flatnonzero(concatenated)
+    for j, evidence_rows in zip(rows.tolist(), evidence.rows(ends.sources[rows], ends.targets[rows])):
+        joined = "; ".join([descriptions[i] for i in evidence_rows.tolist()])
+        if not len(evidence_rows) or descriptions[j] != joined:
+            raise InvalidArgumentError(
+                f"cannot save: concatenated relation {ends.relation_ids[j]!r} is not the '; '-join of the "
+                "descriptions of the relations one layer down between its endpoints' children"
+            )
+
+
 def _move_into_place(staging: Path, directory: Path) -> None:
     """Rename staging to directory, replacing what directory held."""
     if not directory.exists():
@@ -392,11 +453,11 @@ def _move_into_place(staging: Path, directory: Path) -> None:
 def load_index(
     directory: str | Path,
 ) -> tuple[Hierarchy, EmbeddingTable, dict[str, Chunk], IndexManifest]:
-    """Load a format-2 index, reading each shard once.
+    """Load a format-3 index, reading each shard once.
 
     The manifest and the content hash over the bytes read are verified
     first, then the structure, as the module docstring lists; anything
-    else raises StoreError. Entity and relation text rows are parsed on
+    else raises StoreError. Entity, relation and chunk rows are made on
     their first read, which raises StoreError for a bad row. The vectors
     come back as an EmbeddingTable in row order (EmbeddingTable.row_order).
     """
@@ -413,11 +474,11 @@ def load_index(
 
     entity_counts = [stat["entities"] for stat in manifest.layer_stats]
     relation_counts = [stat["relations"] for stat in manifest.layer_stats]
-    entity_ids, entity_rows, relation_ids, relation_rows = _read_ids(shards["ids.json"], entity_counts, relation_counts)
-    arrays = _read_structure(shards["structure.bin"], entity_counts, relation_counts)
-    entity_text, relation_text = shards["entities.jsonl"], shards["relations.jsonl"]
-    _check_offsets("entity", arrays["entity_offsets"], "entities.jsonl", len(entity_text))
-    _check_offsets("relation", arrays["relation_offsets"], "relations.jsonl", len(relation_text))
+    ids, rows = _read_ids(shards["ids.json"], entity_counts, relation_counts)
+    entity_ids, relation_ids, chunk_ids = ids["entities"], ids["relations"], ids["chunks"]
+    arrays = _read_structure(shards["structure.bin"], len(entity_ids), len(relation_ids), len(chunk_ids))
+    for kind, shard in (("entity", "entities.jsonl"), ("relation", "relations.txt"), ("chunk", "chunks.jsonl")):
+        _check_offsets(kind, arrays[f"{kind}_offsets"], shard, len(shards[shard]))
     _check_links(arrays, entity_ids, relation_ids, entity_counts, relation_counts)
 
     n, dim = len(entity_ids), manifest.embedding_dim
@@ -426,36 +487,23 @@ def load_index(
         raise StoreError(f"embeddings.bin: {len(data)} bytes; {n} vectors of dim {dim} take {n * dim * 8}")
     matrix = np.frombuffer(data, "<f8").reshape(n, dim)
 
-    chunks: dict[str, Chunk] = {}
-    rows = _parse_jsonl(shards["chunks.jsonl"], "chunks.jsonl")
-    try:
-        for row in rows:
-            c = Chunk.from_dict(row)
-            if not isinstance(c.id, str):
-                raise StoreError(f"chunks.jsonl: chunk id {c.id!r} is not a string")
-            chunks[c.id] = c
-    except _ROW_ERRORS as exc:
-        raise _malformed("chunks.jsonl", row, exc) from None
-    if len(chunks) != len(rows):
-        raise StoreError(f"chunks.jsonl: chunk id {_repeated([row['id'] for row in rows])!r} appears twice")
-
     entity_starts = list(itertools.accumulate(entity_counts, initial=0))
     relation_starts = list(itertools.accumulate(relation_counts, initial=0))
     parents = arrays["parents"][: entity_starts[-2]].tolist()  # every row below the top layer
+    entity_rows, relation_rows = rows["entities"], rows["relations"]
     ends = RelationEnds(entity_ids, entity_rows, relation_ids, arrays["sources"], arrays["targets"])
     h = Hierarchy(
-        entities=LazyRows(entity_rows, _entity_reader(entity_text, arrays["entity_offsets"], entity_ids, entity_starts)),
-        relations=LazyRows(
-            relation_rows, _relation_reader(relation_text, arrays["relation_offsets"], ends, arrays["kinds"], relation_starts)
-        ),
+        entities=LazyRows(entity_rows, _entity_reader(shards["entities.jsonl"], arrays["entity_offsets"], entity_ids, entity_starts)),
+        relations=LazyRows(relation_rows, _RelationReader(shards["relations.txt"], arrays, ends, relation_starts)),
         layers=[
-            GraphLayer(k, set(entity_ids[a:b]), set(relation_ids[c:d]))
+            GraphLayer(k, IdRange(entity_ids, entity_rows, a, b), IdRange(relation_ids, relation_rows, c, d))
             for k, (a, b, c, d) in enumerate(zip(entity_starts, entity_starts[1:], relation_starts, relation_starts[1:]))
         ],
         parent_map=dict(zip(entity_ids, [entity_ids[p] for p in parents])),
         build_params=build_params,
     )
     h.relation_ends = ends
+    chunks = LazyRows(rows["chunks"], _chunk_reader(shards["chunks.jsonl"], arrays["chunk_offsets"], chunk_ids))
     return h, EmbeddingTable(entity_ids, matrix, entity_rows), chunks, manifest
 
 
@@ -485,36 +533,38 @@ def _read_manifest(directory: Path) -> tuple[IndexManifest, BuildParams | None]:
 
 def _read_ids(
     data: bytes, entity_counts: list[int], relation_counts: list[int]
-) -> tuple[list[str], dict[str, int], list[str], dict[str, int]]:
-    """The entity and relation ids of ids.json and their row numbers, checked
-    against the manifest's layer sizes."""
+) -> tuple[dict[str, list[str]], dict[str, dict[str, int]]]:
+    """The entity, relation and chunk ids of ids.json and their row numbers,
+    keyed by "entities", "relations" and "chunks", checked against the
+    manifest's layer sizes."""
     try:
         doc = json.loads(data)
-        entity_ids, relation_ids = doc["entities"], doc["relations"]
-        if type(entity_ids) is not list or type(relation_ids) is not list:
-            raise TypeError("the entity and relation ids must be lists")
-        "".join(entity_ids + relation_ids)  # TypeError unless every id is a string
+        ids = {key: doc[key] for key in ("entities", "relations", "chunks")}
+        if any(type(value) is not list for value in ids.values()):
+            raise TypeError("the entity, relation and chunk ids must be lists")
+        "".join(itertools.chain(*ids.values()))  # TypeError unless every id is a string
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"ids.json is malformed: {exc!r}") from None
-    rows = []
-    for kind, ids, counts in (("entity", entity_ids, entity_counts), ("relation", relation_ids, relation_counts)):
-        if len(ids) != sum(counts):
-            raise StoreError(f"ids.json: {len(ids)} {kind} ids, the manifest's layer sizes sum to {sum(counts)}")
-        rows.append(dict(zip(ids, range(len(ids)))))
-        if len(rows[-1]) != len(ids):
-            raise StoreError(f"ids.json: {kind} id {_repeated(ids)!r} appears twice")
+    for kind, counts in (("entities", entity_counts), ("relations", relation_counts)):
+        if len(ids[kind]) != sum(counts):
+            raise StoreError(f"ids.json: {len(ids[kind])} {kind}, the manifest's layer sizes sum to {sum(counts)}")
+    rows = {}
+    for key, key_ids in ids.items():
+        rows[key] = dict(zip(key_ids, range(len(key_ids))))
+        if len(rows[key]) != len(key_ids):
+            raise StoreError(f"ids.json: id {_repeated(key_ids)!r} appears twice in {key}")
     for k, (a, b) in enumerate(itertools.pairwise(itertools.accumulate(entity_counts, initial=0))):
-        if entity_ids[a:b] != sorted(entity_ids[a:b]):
+        if ids["entities"][a:b] != sorted(ids["entities"][a:b]):
             raise StoreError(f"ids.json: the layer-{k} entity ids are not in sorted order")
-    return entity_ids, rows[0], relation_ids, rows[1]
+    return ids, rows
 
 
-def _read_structure(data: bytes, entity_counts: list[int], relation_counts: list[int]) -> dict[str, np.ndarray]:
+def _read_structure(data: bytes, n_entities: int, n_relations: int, n_chunks: int) -> dict[str, np.ndarray]:
     """The arrays of structure.bin, as read-only views of its bytes."""
-    layout = _structure_layout(sum(entity_counts), sum(relation_counts))
+    layout = _structure_layout(n_entities, n_relations, n_chunks)
     size = sum(np.dtype(dtype).itemsize * length for _, dtype, length in layout)
     if len(data) != size:
-        raise StoreError(f"structure.bin: {len(data)} bytes; the manifest's layer sizes need {size}")
+        raise StoreError(f"structure.bin: {len(data)} bytes; the id counts of ids.json need {size}")
     arrays, offset = {}, 0
     for name, dtype, length in layout:
         arrays[name] = np.frombuffer(data, dtype, length, offset)
@@ -523,8 +573,8 @@ def _read_structure(data: bytes, entity_counts: list[int], relation_counts: list
 
 
 def _check_offsets(kind: str, offsets: np.ndarray, shard: str, size: int) -> None:
-    if offsets[0] != 0 or offsets[-1] != size or np.any(offsets[1:] <= offsets[:-1]):
-        raise StoreError(f"structure.bin: the {kind} row offsets do not increase from 0 to the {size} bytes of {shard}")
+    if offsets[0] != 0 or offsets[-1] != size or np.any(offsets[1:] < offsets[:-1]):
+        raise StoreError(f"structure.bin: the {kind} row offsets do not run from 0 to the {size} bytes of {shard} without decreasing")
 
 
 def _check_links(
@@ -535,7 +585,8 @@ def _check_links(
     relation_counts: list[int],
 ) -> None:
     """Every parent is a row one layer up (-1 on the top layer), every relation
-    endpoint a row of the relation's own layer, every kind code known."""
+    endpoint a row of the relation's own layer, every kind code known, and
+    exactly the concatenated relations have empty text rows."""
     n, top = len(entity_ids), len(entity_counts) - 1
     entity_layer = np.repeat(np.arange(top + 1), entity_counts)
     relation_layer = np.repeat(np.arange(top + 1), relation_counts)
@@ -561,11 +612,19 @@ def _check_links(
                 f"structure.bin: relation {relation_ids[j]!r} on layer {relation_layer[j]} has {end[:-1]} row "
                 f"{rows[j]}, which is not a row of its layer"
             )
-    for j in np.flatnonzero(arrays["kinds"] >= len(RELATION_KINDS))[:1].tolist():
-        raise StoreError(f"structure.bin: relation {relation_ids[j]!r} has unknown kind code {arrays['kinds'][j]}")
+    kinds = arrays["kinds"]
+    for j in np.flatnonzero(kinds >= len(RELATION_KINDS))[:1].tolist():
+        raise StoreError(f"structure.bin: relation {relation_ids[j]!r} has unknown kind code {kinds[j]}")
+    offsets = arrays["relation_offsets"]
+    empty = offsets[1:] == offsets[:-1]
+    for j in np.flatnonzero(empty != (kinds == CONCATENATED))[:1].tolist():
+        raise StoreError(
+            f"relations.txt: relation {relation_ids[j]!r} of kind {RELATION_KINDS[kinds[j]].value} has "
+            + ("an empty text row" if empty[j] else "a text row, which only the other kinds have")
+        )
 
 
-def _text_row(shard: str, text: bytes, offsets: np.ndarray, i: int) -> object:
+def _json_row(shard: str, text: bytes, offsets: np.ndarray, i: int) -> object:
     try:
         return json.loads(text[offsets[i] : offsets[i + 1]])
     except ValueError as exc:
@@ -573,58 +632,74 @@ def _text_row(shard: str, text: bytes, offsets: np.ndarray, i: int) -> object:
 
 
 def _entity_reader(text: bytes, offsets: np.ndarray, ids: list[str], starts: list[int]) -> Callable[[int], Entity]:
-    """Entity row i from its text, checked against its id and layer in the structure."""
+    """Entity row i: its id and layer from the structure, the rest from its text row."""
 
     def entity(i: int) -> Entity:
-        row = _text_row("entities.jsonl", text, offsets, i)
-        try:
-            e = Entity.from_dict(row)
-        except _ROW_ERRORS as exc:
-            raise _malformed("entities.jsonl", row, exc) from None
-        layer = bisect_right(starts, i) - 1
-        if e.id != ids[i] or e.layer != layer:
-            raise StoreError(
-                f"entities.jsonl: row {i} holds entity {e.id!r} of layer {e.layer!r}, not {ids[i]!r} of layer {layer}"
-            )
-        return e
+        match _json_row("entities.jsonl", text, offsets, i):
+            case [str() as name, str() as description, list() as chunk_ids] if all(type(c) is str for c in chunk_ids):
+                return Entity(ids[i], name, description, bisect_right(starts, i) - 1, chunk_ids)
+            case row:
+                raise StoreError(f"entities.jsonl: row {i} {row!r:.120} is not [name, description, [chunk ids]]")
 
     return entity
 
 
-def _relation_reader(
-    text: bytes, offsets: np.ndarray, ends: RelationEnds, kinds: np.ndarray, starts: list[int]
-) -> Callable[[int], Relation]:
-    """Relation row j from its text and the structure's endpoints and kind."""
-    entity_ids, relation_ids = ends.entity_ids, ends.relation_ids
+def _chunk_reader(text: bytes, offsets: np.ndarray, ids: list[str]) -> Callable[[int], Chunk]:
+    """Chunk row i: its id from ids.json, the rest from its text row."""
 
-    def relation(j: int) -> Relation:
-        row = _text_row("relations.jsonl", text, offsets, j)
-        try:
-            r = Relation(
-                row["id"],
-                entity_ids[ends.sources[j]],
-                entity_ids[ends.targets[j]],
-                row["description"],
-                row["layer"],
-                RELATION_KINDS[kinds[j]],
-            )
-        except _ROW_ERRORS as exc:
-            raise _malformed("relations.jsonl", row, exc) from None
-        layer = bisect_right(starts, j) - 1
-        if r.id != relation_ids[j] or r.layer != layer:
+    def chunk(i: int) -> Chunk:
+        match _json_row("chunks.jsonl", text, offsets, i):
+            case [str() as chunk_text, str() as doc_id, int() as token_count]:
+                return Chunk(ids[i], chunk_text, doc_id, token_count)
+            case row:
+                raise StoreError(f"chunks.jsonl: row {i} {row!r:.120} is not [text, doc_id, token_count]")
+
+    return chunk
+
+
+class _RelationReader:
+    """Relation row j: its id, endpoints, kind and layer from the structure
+    and its description from relations.txt.
+
+    A concatenated relation's description is the "; "-join of its
+    evidence's descriptions, read from the shard (recursing through lower
+    concatenated rows) without making a Relation for them.
+    """
+
+    def __init__(self, text: bytes, arrays: dict[str, np.ndarray], ends: RelationEnds, starts: list[int]):
+        self._text, self._offsets, self._kinds, self._parents = text, arrays["relation_offsets"], arrays["kinds"], arrays["parents"]
+        self._ends, self._starts = ends, starts
+        self._evidence: _Evidence | None = None  # built on the first concatenated read
+
+    def __call__(self, j: int) -> Relation:
+        ends = self._ends
+        return Relation(
+            ends.relation_ids[j],
+            ends.entity_ids[ends.sources[j]],
+            ends.entity_ids[ends.targets[j]],
+            self._description(j),
+            bisect_right(self._starts, j) - 1,
+            RELATION_KINDS[self._kinds[j]],
+        )
+
+    def _description(self, j: int) -> str:
+        if self._kinds[j] != CONCATENATED:
+            try:
+                return self._text[self._offsets[j] : self._offsets[j + 1]].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StoreError(f"relations.txt: row {j} is not UTF-8: {exc}") from None
+        ends = self._ends
+        if self._evidence is None:
+            self._evidence = _Evidence(self._parents, ends.sources, ends.targets)
+        (rows,) = self._evidence.rows(ends.sources[j : j + 1], ends.targets[j : j + 1])
+        if not len(rows):
             raise StoreError(
-                f"relations.jsonl: row {j} holds relation {r.id!r} of layer {r.layer!r}, "
-                f"not {relation_ids[j]!r} of layer {layer}"
+                f"structure.bin: concatenated relation {ends.relation_ids[j]!r} joins two aggregates "
+                "with no relation between their children"
             )
-        return r
-
-    return relation
+        return "; ".join([self._description(i) for i in rows.tolist()])
 
 
 def _repeated(ids: list) -> object:
     """An id that appears more than once in ids."""
     return next(x for x, count in Counter(ids).items() if count > 1)
-
-
-def _malformed(name: str, row: object, exc: Exception) -> StoreError:
-    return StoreError(f"{name}: malformed row {row!r:.120}: {exc!r}")

@@ -8,6 +8,7 @@ from hierkg.model import (
     Entity,
     GraphLayer,
     Hierarchy,
+    IdRange,
     Relation,
     RelationKind,
     validate_hierarchy,
@@ -421,6 +422,18 @@ class TestEntitiesOfCluster:
                 assert not (union & children)
                 union |= children
             assert union == h.layers[i - 1].entity_ids
+
+
+def test_id_range_is_a_read_only_set_view():
+    ids = ["a", "b", "c", "d"]
+    view = IdRange(ids, {x: i for i, x in enumerate(ids)}, 1, 3)
+    assert list(view) == ["b", "c"] and len(view) == 2
+    assert "b" in view and "c" in view
+    assert "a" not in view and "d" not in view and "z" not in view
+    assert view == {"b", "c"} and {"b", "c"} == view and view != {"b"}
+    assert view - {"b"} == {"c"} and {"a", "b"} - view == {"a"}
+    assert type(view | {"x"}) is set
+    assert not hasattr(view, "add") and not hasattr(view, "discard")
 
 
 def test_chunk_roundtrip():

@@ -1,9 +1,11 @@
 import json
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from hierkg.errors import (
@@ -17,6 +19,7 @@ from hierkg.providers import (
     MockEmbeddingProvider,
     MockGenerationProvider,
     ProviderConfig,
+    MOCK_EMBEDDING_DIM,
     count_tokens,
     make_embedding_provider,
     make_generation_provider,
@@ -37,7 +40,39 @@ def cosine_loop(a, b):
     return dot / (na**0.5 * nb**0.5)
 
 
+def embed_one_loop(text, dim):
+    """The mock embedder's per-trigram loop, kept as the reference for its bincount."""
+    t = text.lower()
+    v = np.zeros(dim, dtype=np.float64)
+    if len(t) < 3:
+        v[zlib.crc32(t.encode("utf-8")) % dim] = 1.0
+    else:
+        for i in range(len(t) - 2):
+            v[zlib.crc32(t[i : i + 3].encode("utf-8")) % dim] += 1.0
+    return v / np.linalg.norm(v)
+
+
+def http_error(status):
+    """What requests' raise_for_status raises for an HTTP error status."""
+    response = requests.Response()
+    response.status_code = status
+    return requests.HTTPError(f"{status} from the test server", response=response)
+
+
 class TestMockEmbedding:
+    @pytest.mark.parametrize("dim", [8, MOCK_EMBEDDING_DIM])
+    @pytest.mark.parametrize(
+        "text", ["a", "Ab", "abc", "Glacier SUMMIT tundra", "ÀÉÎ", "ünïcødé — 実体 café", "turbine rotor " * 40]
+    )
+    def test_matches_per_trigram_loop(self, text, dim):
+        got = MockEmbeddingProvider(dim).embed_batch([text])[0]
+        assert got.tobytes() == embed_one_loop(text, dim).tobytes()
+
+    @given(st.text(min_size=1, max_size=60).filter(str.strip))
+    def test_matches_per_trigram_loop_on_any_text(self, text):
+        got = MockEmbeddingProvider().embed_batch([text])[0]
+        assert got.tobytes() == embed_one_loop(text, MOCK_EMBEDDING_DIM).tobytes()
+
     def test_deterministic(self, embed_provider):
         v1 = embed_provider.embed_batch(["x"])[0]
         v2 = embed_provider.embed_batch(["x"])[0]
@@ -205,6 +240,60 @@ class TestHttpProviders:
         with pytest.raises(ProviderUnavailableError):
             provider.embed_batch(["hello"])
         assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "failure, posts",
+        [
+            (ConnectionError("refused"), 3),
+            (requests.ConnectionError("reset"), 3),
+            (requests.Timeout("slow"), 3),
+            (http_error(429), 3),
+            (http_error(500), 3),
+            (http_error(503), 3),
+            (http_error(400), 1),
+            (http_error(401), 1),
+            (http_error(404), 1),
+        ],
+        ids=["builtin-connection", "connection", "timeout", "429", "500", "503", "400", "401", "404"],
+    )
+    def test_retries_only_what_a_retry_can_mend(self, failure, posts):
+        calls, sleeps = [], []
+
+        def post(url, payload, timeout):
+            calls.append(payload)
+            raise failure
+
+        provider = HttpEmbeddingProvider(self.config(retries=2), post=post, sleep=sleeps.append)
+        with pytest.raises(ProviderUnavailableError):
+            provider.embed_batch(["hello"])
+        assert len(calls) == posts and len(sleeps) == posts - 1
+
+    def test_retry_after_transient_failure_succeeds(self):
+        answers = iter([http_error(503), requests.ConnectionError("reset"), {"vectors": [[3.0, 4.0]]}])
+        calls = []
+
+        def post(url, payload, timeout):
+            calls.append(payload)
+            answer = next(answers)
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        provider = HttpEmbeddingProvider(self.config(retries=2), post=post, sleep=lambda s: None)
+        assert np.allclose(provider.embed_batch(["hello"])[0], [0.6, 0.8])
+        assert len(calls) == 3
+
+    def test_bug_in_post_propagates_without_retry(self):
+        calls = []
+
+        def post(url, payload, timeout):
+            calls.append(payload)
+            raise TypeError("post() takes 2 positional arguments but 3 were given")
+
+        provider = HttpGenerationProvider(self.config(retries=2), post=post, sleep=lambda s: None)
+        with pytest.raises(TypeError, match="positional arguments"):
+            provider.generate_aggregate_relation(("A", "da"), ("B", "db"), ["r1"])
+        assert len(calls) == 1
 
     def test_generation_replays_recorded_fixture(self):
         raw = (FIXTURES / "entity_aggregation_response.json").read_text()

@@ -514,6 +514,7 @@ class TestNeighbourMap:
         loaded, _, _, _ = load_index(tmp_path / "index")
         assert len(loaded.layers) >= 3
         assert_neighbour_map_matches_scan(loaded)
+        assert {rid: r.to_dict() for rid, r in loaded.relations.items()} == {rid: r.to_dict() for rid, r in h.relations.items()}
 
 
 class ReadRecordingRelations(dict):

@@ -21,6 +21,7 @@ from hierkg.model import (
     Entity,
     GraphLayer,
     Hierarchy,
+    IdRange,
     Relation,
     RelationKind,
     validate_hierarchy,
@@ -164,13 +165,14 @@ class TestIndexRoundTrip:
         h, embeddings, chunks, directory, manifest = build_small_index(tmp_path)
         h2, emb2, chunks2, manifest2 = load_index(directory)
         assert manifest2.content_hash == manifest.content_hash == content_hash_of(directory)
-        assert manifest2.format_version == FORMAT_VERSION == 2
+        assert manifest2.format_version == FORMAT_VERSION == 3
         assert sorted(os.listdir(directory)) == sorted(SHARD_NAMES + ["manifest.json"])
         assert set(h2.entities) == set(h.entities)
         assert set(h2.relations) == set(h.relations)
         assert h2.parent_map == h.parent_map
         assert [l.entity_ids for l in h2.layers] == [l.entity_ids for l in h.layers]
         assert [l.relation_ids for l in h2.layers] == [l.relation_ids for l in h.layers]
+        assert all(isinstance(ids, IdRange) for l in h2.layers for ids in (l.entity_ids, l.relation_ids))
         assert set(chunks2) == set(chunks)
         assert h2.build_params.to_dict() == h.build_params.to_dict()
         assert validate_hierarchy(h2) == []
@@ -178,11 +180,20 @@ class TestIndexRoundTrip:
         assert list(h2.entities.items()) == list(h.entities.items())
         assert list(h2.relations.items()) == list(h.relations.items())
         assert h2.entities == h.entities and h2.relations == h.relations
+        assert list(chunks2.items()) == sorted(chunks.items())
+
+    @pytest.mark.parametrize("cluster_size", [10, 4])
+    def test_every_relation_round_trips(self, tmp_path, cluster_size):
+        # cluster_size=4 makes layer-2 concatenated relations from layer-1 concatenated ones
+        h, _, _, directory, _ = build_small_index(tmp_path, cluster_size=cluster_size)
+        h2 = load_index(directory)[0]
+        assert {rid: r.to_dict() for rid, r in h2.relations.items()} == {rid: r.to_dict() for rid, r in h.relations.items()}
+        assert RelationKind.INTER_CLUSTER_CONCATENATED in {r.kind for r in h.relations.values()}
 
     def test_entity_rows_carry_parent_id(self, tmp_path):
         # the structure keeps one parent row per entity row, -1 on the top layer,
-        # and the endpoints and kind of each relation row
-        h, _, _, directory, _ = build_small_index(tmp_path)
+        # and the endpoints and kind of each relation row; the text rows hold only text
+        h, _, chunks, directory, _ = build_small_index(tmp_path)
         top = len(h.layers) - 1
         assert top >= 1
         ids, arrays = read_structure(directory)
@@ -196,9 +207,14 @@ class TestIndexRoundTrip:
             r = h.relations[rid]
             assert (entity_ids[arrays["sources"][j]], entity_ids[arrays["targets"][j]]) == (r.source_id, r.target_id)
             assert list(RelationKind)[arrays["kinds"][j]] is r.kind
-        rows = [json.loads(line) for line in (directory / "entities.jsonl").read_bytes().split(b"\n") if line]
-        assert [row["id"] for row in rows] == entity_ids
-        assert all(sorted(row) == ["description", "id", "layer", "name", "source_chunk_ids"] for row in rows)
+        entities = [h.entities[eid] for eid in entity_ids]
+        assert read_rows(directory, "entities.jsonl") == [[e.name, e.description, e.source_chunk_ids] for e in entities]
+        relations = [h.relations[rid] for rid in relation_ids]
+        assert read_rows(directory, "relations.txt") == [
+            b"" if r.kind is RelationKind.INTER_CLUSTER_CONCATENATED else r.description.encode("utf-8") for r in relations
+        ]
+        assert ids["chunks"] == sorted(chunks)
+        assert read_rows(directory, "chunks.jsonl") == [[c.text, c.doc_id, c.token_count] for c in map(chunks.get, ids["chunks"])]
         assert load_index(directory)[0].parent_map == h.parent_map
 
     def test_embeddings_bit_exact(self, tmp_path):
@@ -353,6 +369,33 @@ class TestSave:
         save_index(h, embeddings, chunks, empty)
         assert load_index(empty)[0].parent_map == h.parent_map
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [("text-differs", "join"), ("no-evidence", "join"), ("empty-description", "empty description")],
+    )
+    def test_relation_text_must_be_stored_once(self, tmp_path, change, message):
+        # a concatenated relation's text is not stored, so it must be the join its evidence renders
+        h, embeddings, chunks, _, _ = build_small_index(tmp_path, cluster_size=4)
+        r = h.relations[min(rid for rid, r in h.relations.items() if r.kind is RelationKind.INTER_CLUSTER_CONCATENATED)]
+        if change == "text-differs":
+            r.description += "; one more"
+        elif change == "no-evidence":
+            # the join of no relations is "", and a relation made from nothing cannot be rendered
+            crossing = {
+                frozenset((h.parent_map[x.source_id], h.parent_map[x.target_id]))
+                for x in h.relations.values()
+                if x.layer == r.layer - 1
+            }
+            others = sorted(h.layers[r.layer].entity_ids - {r.source_id})
+            r.target_id = next(b for b in others if frozenset((r.source_id, b)) not in crossing)
+            r.description = ""
+        else:
+            h.relations[min(h.layers[0].relation_ids)].description = ""
+        out = tmp_path / "nested" / "out"
+        with pytest.raises(InvalidArgumentError, match=message):
+            save_index(h, embeddings, chunks, out)
+        assert not (tmp_path / "nested").exists()
+
     @pytest.mark.parametrize("change", ["one-vector-short", "one-vector-extra"])
     def test_embeddings_must_cover_the_hierarchy(self, tmp_path, change):
         # the index used to be written, and load_index then refused it:
@@ -389,7 +432,10 @@ def test_cold_query_reads_only_the_rows_it_renders(tmp_path, monkeypatch, capsys
     assert dict.__len__(h.entities) < len(h.entities)
 
 
-SHARD_NAMES = ["chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.jsonl", "structure.bin"]
+SHARD_NAMES = ["chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.txt", "structure.bin"]
+# each text shard and the structure.bin array of its row offsets
+TEXT_SHARDS = {"entities.jsonl": "entity_offsets", "relations.txt": "relation_offsets", "chunks.jsonl": "chunk_offsets"}
+CONCATENATED = list(RelationKind).index(RelationKind.INTER_CLUSTER_CONCATENATED)
 
 
 def content_hash_of(directory):
@@ -408,11 +454,12 @@ def rehash(directory):
     mpath.write_text(json.dumps(doc), encoding="utf-8")
 
 
-def structure_layout(n, m):
-    """The documented arrays of structure.bin, back to back, for n entities and m relations."""
+def structure_layout(n, m, c):
+    """The documented arrays of structure.bin, back to back, for n entities, m relations and c chunks."""
     return [
         ("entity_offsets", "<u8", n + 1),
         ("relation_offsets", "<u8", m + 1),
+        ("chunk_offsets", "<u8", c + 1),
         ("parents", "<i4", n),
         ("sources", "<i4", m),
         ("targets", "<i4", m),
@@ -425,7 +472,7 @@ def read_structure(directory):
     ids = json.loads((directory / "ids.json").read_bytes())
     data = (directory / "structure.bin").read_bytes()
     arrays, offset = {}, 0
-    for name, dtype, length in structure_layout(len(ids["entities"]), len(ids["relations"])):
+    for name, dtype, length in structure_layout(len(ids["entities"]), len(ids["relations"]), len(ids["chunks"])):
         arrays[name] = np.frombuffer(data, dtype, length, offset).copy()
         offset += arrays[name].nbytes
     assert offset == len(data)
@@ -434,24 +481,30 @@ def read_structure(directory):
 
 def write_structure(directory, ids, arrays):
     (directory / "ids.json").write_text(json.dumps(ids), encoding="utf-8")
-    layout = structure_layout(len(arrays["parents"]), len(arrays["kinds"]))
+    layout = structure_layout(len(arrays["parents"]), len(arrays["kinds"]), len(arrays["chunk_offsets"]) - 1)
     (directory / "structure.bin").write_bytes(b"".join(arrays[name].astype(dtype).tobytes() for name, dtype, _ in layout))
 
 
+def read_rows(directory, shard):
+    """The rows of a text shard, cut at its offsets: JSON values for a .jsonl shard, bytes for relations.txt."""
+    _, arrays = read_structure(directory)
+    data = (directory / shard).read_bytes()
+    offsets = arrays[TEXT_SHARDS[shard]].tolist()
+    rows = [data[a:b] for a, b in zip(offsets, offsets[1:])]
+    return rows if shard == "relations.txt" else [json.loads(row) for row in rows]
+
+
 def edit_rows(directory, shard, edit):
-    """Apply edit to the list of rows of a JSONL shard, write it back and
+    """Apply edit to the list of rows of a text shard, write it back and
     rewrite the shard's row offsets in structure.bin."""
-    path = directory / shard
-    rows = [json.loads(line) for line in path.read_bytes().split(b"\n") if line]
+    rows = read_rows(directory, shard)
     edit(rows)
     # a bytes row is written as it is
-    lines = [(row if isinstance(row, bytes) else json.dumps(row).encode("utf-8")) + b"\n" for row in rows]
-    path.write_bytes(b"".join(lines))
-    if shard in ("entities.jsonl", "relations.jsonl"):
-        ids, arrays = read_structure(directory)
-        offsets = np.cumsum([0] + [len(line) for line in lines])
-        arrays["entity_offsets" if shard == "entities.jsonl" else "relation_offsets"][:] = offsets
-        write_structure(directory, ids, arrays)
+    lines = [row if isinstance(row, bytes) else (json.dumps(row) + "\n").encode("utf-8") for row in rows]
+    (directory / shard).write_bytes(b"".join(lines))
+    ids, arrays = read_structure(directory)
+    arrays[TEXT_SHARDS[shard]][:] = np.cumsum([0] + [len(line) for line in lines])
+    write_structure(directory, ids, arrays)
 
 
 def edit_structure(edit):
@@ -465,14 +518,6 @@ def edit_structure(edit):
     return apply
 
 
-def edit_text(shard, edit):
-    return lambda directory: edit_rows(directory, shard, edit)
-
-
-def row_of(directory, kind, rid):
-    return json.loads((directory / "ids.json").read_bytes())[kind].index(rid)
-
-
 def first_row_of_layer(ids, kind, layer):
     # build_small_index(cluster_size=4) ids: e0000.. on layer 0, agg:1:.. on layer 1, agg:2:.. on layer 2;
     # relations r00000.. on layer 0, agg:1:r.. on layer 1
@@ -480,22 +525,41 @@ def first_row_of_layer(ids, kind, layer):
     return next(i for i, x in enumerate(ids[kind]) if x.startswith(prefix))
 
 
-def set_row(kind, on_layer, **changes):
-    """Edit the first text row of a layer of entities.jsonl or relations.jsonl."""
-
-    def edit(rows):
-        ids = {"entities": [], "relations": []}
-        ids[kind] = [row["id"] for row in rows]
-        i = first_row_of_layer(ids, kind, on_layer)
-        if "row" in changes:
-            rows[i] = changes["row"]
-        else:
-            rows[i] = {key: value for key, value in {**rows[i], **changes}.items() if value is not DROP}
-
-    return edit_text(f"{kind}.jsonl", edit)
+def first_concatenated_row(directory):
+    return np.flatnonzero(read_structure(directory)[1]["kinds"] == CONCATENATED)[0]
 
 
-DROP = object()
+def set_row(kind, on_layer, row):
+    """Replace the first text row of a layer of entities.jsonl or relations.txt."""
+    shard = {"entities": "entities.jsonl", "relations": "relations.txt"}[kind]
+
+    def apply(directory):
+        i = first_row_of_layer(read_structure(directory)[0], kind, on_layer)
+        edit_rows(directory, shard, lambda rows: rows.__setitem__(i, row))
+
+    return apply
+
+
+def set_concatenated_row(row):
+    def apply(directory):
+        j = first_concatenated_row(directory)
+        edit_rows(directory, "relations.txt", lambda rows: rows.__setitem__(j, row))
+
+    return apply
+
+
+def concatenated_without_evidence(directory):
+    """Move the first concatenated relation's target to an aggregate between
+    whose children and its source's children no relation runs."""
+    j = first_concatenated_row(directory)
+    ids, arrays = read_structure(directory)
+    up_s, up_t = arrays["parents"][arrays["sources"]], arrays["parents"][arrays["targets"]]
+    a = arrays["sources"][j]
+    crossing = set(up_t[up_s == a].tolist()) | set(up_s[up_t == a].tolist())
+    layer1 = [i for i, x in enumerate(ids["entities"]) if x.startswith("agg:1:")]
+    assert a in layer1
+    arrays["targets"][j] = next(b for b in layer1 if b != a and b not in crossing)
+    write_structure(directory, ids, arrays)
 
 
 def set_array(name, kind, layer, value):
@@ -513,16 +577,8 @@ def rename_id(kind, layer, new):
     return edit_structure(edit)
 
 
-def chunk_edit(edit):
-    return edit_text("chunks.jsonl", edit)
-
-
-def repeat_first_chunk_id(rows):
-    rows[1]["id"] = rows[0]["id"]
-
-
-def set_first_chunk_id_int(rows):
-    rows[0]["id"] = 7
+def set_chunk_id(new):
+    return edit_structure(lambda ids, arrays: ids["chunks"].__setitem__(0, new(ids) if callable(new) else new))
 
 
 class TestLoadFailsClosed:
@@ -535,56 +591,52 @@ class TestLoadFailsClosed:
         [
             ("entities.jsonl", set_row("entities", 2, row=[1, 2]), "read"),
             ("structure.bin", set_array("kinds", "relations", 1, 255), "load"),
-            ("relations.jsonl", set_row("relations", 1, layer=DROP), "read"),
             # a kind the format once listed and nothing ever wrote: the code after the three kinds
             ("structure.bin", set_array("kinds", "relations", 0, len(RelationKind)), "load"),
             ("structure.bin", set_array("targets", "relations", 0, lambda ids, _: len(ids["entities"])), "load"),
-            ("entities.jsonl", set_row("entities", 1, layer=0), "read"),
             ("ids.json", rename_id("entities", 1, lambda ids: ids["entities"][first_row_of_layer(ids, "entities", 1) + 1]), "load"),
             ("ids.json", rename_id("relations", 0, lambda ids: ids["relations"][1]), "load"),
             ("ids.json", rename_id("relations", 1, "r00000"), "load"),
-            ("relations.jsonl", set_row("relations", 0, layer=1), "read"),
             ("structure.bin", set_array("sources", "relations", 1, 0), "load"),
-            ("chunks.jsonl", chunk_edit(repeat_first_chunk_id), "load"),
+            ("ids.json", set_chunk_id(lambda ids: ids["chunks"][1]), "load"),
             # e0000's parent moves from its layer-1 aggregate to a layer-2 one
             ("structure.bin", set_array("parents", "entities", 0, lambda ids, _: first_row_of_layer(ids, "entities", 2)), "load"),
             ("ids.json", rename_id("relations", 1, 7), "load"),
-            ("chunks.jsonl", chunk_edit(set_first_chunk_id_int), "load"),
-            ("entities.jsonl", set_row("entities", 0, id="e9999"), "read"),
-            ("relations.jsonl", set_row("relations", 1, id="agg:1:r9999"), "read"),
-            ("relations.jsonl", set_row("relations", 0, row=b"{not json"), "read"),
+            ("ids.json", set_chunk_id(7), "load"),
+            ("relations.txt", set_row("relations", 0, row=b"caf\xe9 \xff"), "read"),
             ("structure.bin", set_array("sources", "relations", 0, -1), "load"),
             ("structure.bin", set_array("parents", "entities", 2, 0), "load"),
             ("structure.bin", set_array("parents", "entities", 1, -1), "load"),
             ("structure.bin", set_array("entity_offsets", "entities", 1, 0), "load"),
             ("structure.bin", set_array("relation_offsets", "relations", 1, lambda *_: 10**9), "load"),
             ("ids.json", rename_id("entities", 0, "e9999"), "load"),
+            ("relations.txt", set_concatenated_row(b"a; b"), "load"),
+            ("relations.txt", set_row("relations", 0, row=b""), "load"),
+            ("structure.bin", concatenated_without_evidence, "read"),
         ],
         ids=[
             "entity-row-not-object",
             "unknown-relation-kind",
-            "relation-without-layer",
             "intra-cluster-inherited-kind",
             "dangling-relation-endpoint",
-            "entity-layer-differs-from-shard",
             "entity-id-twice",
             "relation-id-twice",
             "relation-id-in-two-shards",
-            "relation-layer-differs-from-shard",
             "relation-endpoint-on-other-layer",
             "chunk-id-twice",
             "parent-two-layers-up",
             "relation-id-not-string",
             "chunk-id-not-string",
-            "entity-row-id-differs",
-            "relation-row-id-differs",
-            "relation-row-not-json",
+            "relation-row-not-utf8",
             "negative-endpoint-row",
             "parent-on-top-layer",
             "no-parent-below-top",
             "offsets-decrease",
             "offsets-past-end",
             "entity-ids-unsorted",
+            "concatenated-relation-row-not-empty",
+            "other-relation-row-empty",
+            "concatenated-relation-without-evidence",
         ],
     )
     def test_malformed_row(self, tmp_path, caplog, shard, edit, when):
@@ -601,6 +653,20 @@ class TestLoadFailsClosed:
         assert shard in str(exc.value)
         assert main(["stats", "--index", str(directory)]) == 3
         assert shard in caplog.text
+
+    def test_format_2_index_names_its_version(self, tmp_path, caplog, capsys):
+        # a format-2 index: relations.jsonl held each relation's id, layer and description
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        (directory / "relations.txt").rename(directory / "relations.jsonl")
+        mpath = directory / "manifest.json"
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        doc["format_version"] = 2
+        mpath.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(StoreError, match="format_version 2 unsupported"):
+            load_index(directory)
+        assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
+        assert "format_version 2" in caplog.text
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("key", ["entities", "relations"])
     def test_layer_sizes_differ_from_ids(self, tmp_path, key):
@@ -652,7 +718,7 @@ class TestLoadFailsClosed:
     def test_bad_text_row_fails_query_at_first_read(self, tmp_path, caplog, capsys):
         # the index loads; the query fails when it reads a broken entity row
         _, _, _, directory, _ = build_small_index(tmp_path)
-        edit_rows(directory, "entities.jsonl", lambda rows: [row.update(name=None, layer="zero") for row in rows])
+        edit_rows(directory, "entities.jsonl", lambda rows: [row.__setitem__(0, None) for row in rows])
         rehash(directory)
         load_index(directory)
         assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
