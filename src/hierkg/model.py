@@ -4,11 +4,14 @@ A built index is a stack of graph layers: layer 0 holds the ingested
 entities/relations with chunk provenance, every higher layer holds
 generated aggregate entities plus inter-cluster relations. Parent links
 form a forest (each entity has at most one parent, one layer up). The
-entity vectors live in one EmbeddingTable, in layer order. RelationEnds
-holds every relation's endpoints as entity rows, from which the
-neighbour views are made; a loaded index's entities, relations and chunks
-are LazyRows maps, which make each row on its first read, and its layers'
-id sets are IdRange views of the id lists.
+entity vectors live in one EmbeddingTable, in layer order. A Structure
+holds a hierarchy's links as rows (parent rows, relation endpoint rows
+and kind codes: the arrays an index stores); its violations() states
+each structural rule once, for validate_hierarchy, save_index and
+load_index alike, and the neighbour views are made from it. A loaded
+index's entities, relations and chunks are LazyRows maps, which make
+each row on its first read, and its layers' id sets are IdRange views of
+the id lists.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ class RelationKind(str, Enum):
     INTER_CLUSTER_CONCATENATED = "inter_cluster_concatenated"
 
 
-# a dict lookup is several times cheaper than RelationKind(value) on load
-_KIND_BY_VALUE = {kind.value: kind for kind in RelationKind}
+# structure.bin and Structure.kinds code a relation's kind as its index here
+RELATION_KINDS = tuple(RelationKind)
 
 
 # A build makes one Entity or Relation per record, and a load one per row
@@ -74,13 +77,6 @@ class Relation:
             "kind": self.kind.value,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Relation":
-        kind = _KIND_BY_VALUE.get(d["kind"])
-        if kind is None:
-            raise ValueError(f"{d['kind']!r} is not a valid RelationKind")
-        return cls(d["id"], d["source_id"], d["target_id"], d["description"], d["layer"], kind)
-
 
 @dataclass(slots=True)
 class Chunk:
@@ -96,10 +92,6 @@ class Chunk:
             "doc_id": self.doc_id,
             "token_count": self.token_count,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Chunk":
-        return cls(d["id"], d["text"], d["doc_id"], d["token_count"])
 
 
 @dataclass
@@ -154,6 +146,8 @@ class BuildParams:
             raise InvalidArgumentError("cluster_size must be >= 2")
         if self.stop_when_entities_leq is None:
             self.stop_when_entities_leq = self.cluster_size
+        elif self.stop_when_entities_leq < 1:
+            raise InvalidArgumentError("stop_when_entities_leq must be >= 1")
 
     def tau_for_layer(self, layer: int) -> int:
         # every layer uses tau; perfbench/spans.py and perfbench/oracles.py call this
@@ -190,15 +184,14 @@ class Hierarchy:
     field is k, and layer 0 is never empty. parent_map (child id -> parent
     id) is the only record of parent links; top-layer entities have no entry.
 
-    layer0_ids, relation_ends, neighbours and parallel_relations are
+    layer0_ids, structure, neighbours and parallel_relations are
     query-time views computed on first access and then frozen: do not
     mutate a hierarchy after it has been queried, or later queries read
-    the stale views. load_index sets relation_ends from the index's
-    arrays, so the same holds for a loaded hierarchy from the start.
-    Build, store and validation never touch the views. They assume what
-    validate_hierarchy checks and load_index enforces: every relation
-    endpoint is an entity, on the relation's own layer. No view holds a
-    reference back to the hierarchy.
+    the stale views. load_index sets structure from the index's arrays,
+    so the same holds for a loaded hierarchy from the start. Build never
+    touches the views; save_index and validate_hierarchy make a fresh
+    Structure.of(h) instead, so they see the hierarchy as it is now. No
+    view holds a reference back to the hierarchy.
     """
 
     entities: dict[str, Entity] = field(default_factory=dict)
@@ -213,28 +206,27 @@ class Hierarchy:
         return tuple(sorted(self.layers[0].entity_ids))
 
     @cached_property
-    def relation_ends(self) -> RelationEnds:
-        """Every relation's endpoints as entity rows, in the dict orders of
-        entities and relations; reads every relation once."""
-        return RelationEnds.of(self, list(self.entities), list(self.relations))
+    def structure(self) -> Structure:
+        """The links as rows, the arrays an index stores (Structure.of)."""
+        return Structure.of(self)
 
     @cached_property
     def neighbours(self) -> dict[str, dict[str, str]]:
         """Entity id -> {neighbour id: id of the first relation joining the two}.
 
         Every entity has a row, empty when no relation touches it, and a
-        relation is listed under both of its endpoints. "First" is in the
-        order of relation_ends. A row is made from relation_ends on its
-        first read. The other relations joining the same pair are in
+        relation is listed under both of its endpoints. "First" is in
+        relation row order. A row is made from structure on its first
+        read. The other relations joining the same pair are in
         parallel_relations.
         """
-        return self.relation_ends.neighbour_rows()
+        return self.structure.neighbour_rows()
 
     @cached_property
     def parallel_relations(self) -> dict[str, list[str]]:
         """First relation id of a pair (as in neighbours) -> ids of the other
         relations joining the same pair; a pair joined once has no entry."""
-        return self.relation_ends.parallel_relations()
+        return self.structure.parallel_relations()
 
     def ancestors(self, entity_id: str) -> list[str]:
         """Chain from the entity up to its topmost ancestor, inclusive."""
@@ -327,31 +319,96 @@ class LazyRows(dict):
 
 
 @dataclass(frozen=True)
-class RelationEnds:
-    """Every relation's endpoints as entity rows.
+class Structure:
+    """A hierarchy's links as rows: the arrays an index's structure.bin stores.
 
-    Relation relation_ids[j] joins entity_ids[sources[j]] and
-    entity_ids[targets[j]]; entity_rows maps each entity id to its row.
-    sources and targets are int32 arrays.
+    Entity row i is entity_ids[i] (entity_rows maps each id to its row)
+    and relation row j is relation_ids[j]. Rows go layer by layer, layer 0
+    first; layer k has entity_counts[k] entities and relation_counts[k]
+    relations. parents[i] is the row of entity i's parent, -1 for none.
+    Relation j joins rows sources[j] and targets[j] and has kind
+    RELATION_KINDS[kinds[j]]. parents, sources and targets are int32
+    arrays, kinds a uint8 array. The views assume the rules that
+    violations() checks.
     """
 
     entity_ids: Sequence[str]
     entity_rows: dict[str, int]
     relation_ids: Sequence[str]
+    entity_counts: Sequence[int]
+    relation_counts: Sequence[int]
+    parents: np.ndarray
     sources: np.ndarray
     targets: np.ndarray
+    kinds: np.ndarray
 
     @classmethod
-    def of(cls, h: Hierarchy, entity_ids: Sequence[str], relation_ids: Sequence[str]) -> RelationEnds:
-        """The ends of h's relations, entities and relations numbered in the orders given.
+    def of(cls, h: Hierarchy) -> Structure:
+        """h's links, entities in EmbeddingTable.row_order and relations
+        layer by layer, each layer sorted.
 
-        Raises KeyError for a relation or an endpoint that is not in those orders.
+        Raises KeyError for a listed relation that h does not hold, and for
+        a parent link or a relation endpoint naming an id no layer lists.
         """
+        entity_ids = EmbeddingTable.row_order(h)
+        relation_ids = [rid for layer in h.layers for rid in sorted(layer.relation_ids)]
         rows = {eid: i for i, eid in enumerate(entity_ids)}
+        parents = np.full(len(entity_ids), -1, np.int32)
+        parents[[rows[child] for child in h.parent_map]] = [rows[parent] for parent in h.parent_map.values()]
         relations = [h.relations[rid] for rid in relation_ids]
-        sources = np.fromiter((rows[r.source_id] for r in relations), np.int32, len(relations))
-        targets = np.fromiter((rows[r.target_id] for r in relations), np.int32, len(relations))
-        return cls(entity_ids, rows, relation_ids, sources, targets)
+        code_of = {kind: code for code, kind in enumerate(RELATION_KINDS)}
+        return cls(
+            entity_ids,
+            rows,
+            relation_ids,
+            [len(layer.entity_ids) for layer in h.layers],
+            [len(layer.relation_ids) for layer in h.layers],
+            parents,
+            np.fromiter((rows[r.source_id] for r in relations), np.int32, len(relations)),
+            np.fromiter((rows[r.target_id] for r in relations), np.int32, len(relations)),
+            np.fromiter((code_of[r.kind] for r in relations), np.uint8, len(relations)),
+        )
+
+    def violations(self) -> list[str]:
+        """One message per row that breaks a structural rule; each rule is stated once, here.
+
+        Every entity below the top layer has a parent exactly one layer up,
+        and no top-layer entity has one (a chain that climbs one layer per
+        step has no cycle). Every aggregate has a child. A relation joins
+        two distinct rows of its own layer. Every kind code is known, and
+        the kind is base exactly on layer 0.
+        """
+        ids, n, top = self.entity_ids, len(self.entity_ids), len(self.entity_counts) - 1
+        entity_layer = np.repeat(np.arange(top + 1), self.entity_counts)
+        relation_layer = np.repeat(np.arange(top + 1), self.relation_counts)
+
+        def layer_of(rows: np.ndarray) -> np.ndarray:
+            """The layer of each row, and -1 for a value that is no row."""
+            return np.append(entity_layer, -1)[np.where((rows >= 0) & (rows < n), rows, n)]
+
+        def name(row: int) -> str:
+            return f"{ids[row]} at layer {entity_layer[row]}" if 0 <= row < n else f"row {row}, which does not exist"
+
+        parents, parent_layer = self.parents, layer_of(self.parents)
+        violations = []
+        wrong = np.where(entity_layer < top, parent_layer != entity_layer + 1, parents != -1)
+        for i in np.flatnonzero(wrong).tolist():
+            k, p = entity_layer[i], parents[i]
+            expected = f"expected layer {k + 1}" if k < top else "expected none on the top layer"
+            violations.append(f"entity {ids[i]}: " + (f"parent {name(p)}, {expected}" if p != -1 else f"no parent, {expected}"))
+        childless = (entity_layer > 0) & (np.bincount(parents[parent_layer >= 0], minlength=n) == 0)
+        violations += [f"entity {ids[i]}: aggregate without children" for i in np.flatnonzero(childless).tolist()]
+        relation_ids = self.relation_ids
+        for end, rows in (("source", self.sources), ("target", self.targets)):
+            for j in np.flatnonzero(layer_of(rows) != relation_layer).tolist():
+                violations.append(f"relation {relation_ids[j]}: {end} {name(rows[j])}, expected layer {relation_layer[j]}")
+        violations += [f"relation {relation_ids[j]}: self-loop" for j in np.flatnonzero(self.sources == self.targets).tolist()]
+        kinds, known = self.kinds, self.kinds < len(RELATION_KINDS)
+        wrong = ~known | ((kinds == RELATION_KINDS.index(RelationKind.BASE)) != (relation_layer == 0))
+        for j in np.flatnonzero(wrong).tolist():
+            kind = RELATION_KINDS[kinds[j]].value if known[j] else f"code {kinds[j]}"
+            violations.append(f"relation {relation_ids[j]}: kind {kind} invalid at layer {relation_layer[j]}")
+        return violations
 
     def neighbour_rows(self) -> LazyRows:
         """Hierarchy.neighbours: one row per entity, made on its first read."""
@@ -454,7 +511,10 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
     """Check every structural invariant; returns human-readable violations.
 
     An empty list means the hierarchy is well formed. Violations are data,
-    not exceptions: callers decide whether to fail. Each invariant is one rule.
+    not exceptions: callers decide whether to fail. This checks the rules
+    only the dict form can break, then, if they all hold, the links of
+    Structure.of(h) by Structure.violations, the rules load_index and
+    save_index enforce.
     """
     violations = [] if h.layers and h.layers[0].entity_ids else ["layer 0 is empty"]
     violations += [f"layer {k}: index field is {layer.index}" for k, layer in enumerate(h.layers) if layer.index != k]
@@ -477,40 +537,22 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
             violations += [f"layer {k}: lists {kind} {x}, which does not declare layer {k}" for x in sorted(listed - ids)]
             violations += [f"{kind} {x}: missing from layer {k} listing" for x in sorted(ids - listed)]
 
-    # every entity below the top has a parent and every aggregate a child
-    has_child = set(h.parent_map.values())
     for eid, e in h.entities.items():
         if bool(e.source_chunk_ids) != (e.layer == 0):
             what = "aggregate carries" if e.source_chunk_ids else "layer-0 entity without"
             violations.append(f"entity {eid}: {what} source chunks")
-        if e.layer < top and eid not in h.parent_map:
-            violations.append(f"entity {eid}: no parent although layer {e.layer + 1} exists")
-        if e.layer > 0 and eid not in has_child:
-            violations.append(f"entity {eid}: aggregate without children")
 
-    # a parent exactly one layer up also rules out cycles: a chain that
-    # climbs one layer per step cannot return to where it started
+    # a link to a missing entity is named here: a row of Structure cannot hold it
     for eid, pid in h.parent_map.items():
-        e, parent = h.entities.get(eid), h.entities.get(pid)
-        if e is None:
+        if eid not in h.entities:
             violations.append(f"parent link {eid} -> {pid}: child does not exist")
-        elif parent is None or parent.layer != e.layer + 1:
-            where = "does not exist" if parent is None else f"at layer {parent.layer}, expected {e.layer + 1}"
-            violations.append(f"entity {eid}: parent {pid} {where}")
-
+        elif pid not in h.entities:
+            violations.append(f"entity {eid}: parent {pid} does not exist")
     seen_relation_keys: set[tuple] = set()
     for rid, r in h.relations.items():
-        if r.source_id == r.target_id:
-            violations.append(f"relation {rid}: self-loop")
-        for end in (r.source_id, r.target_id):
-            e = h.entities.get(end)
-            if e is None or e.layer != r.layer:
-                where = "does not exist" if e is None else f"not at layer {r.layer}"
-                violations.append(f"relation {rid}: endpoint {end} {where}")
-        if (r.kind is not RelationKind.BASE) != (r.layer >= 1):
-            violations.append(f"relation {rid}: kind {r.kind.value} invalid at layer {r.layer}")
+        violations += [f"relation {rid}: endpoint {end} does not exist" for end in (r.source_id, r.target_id) if end not in h.entities]
         key = (r.source_id, r.target_id, r.layer, r.description)
         if key in seen_relation_keys:
             violations.append(f"relation {rid}: exact duplicate of another relation")
         seen_relation_keys.add(key)
-    return violations
+    return violations or Structure.of(h).violations()

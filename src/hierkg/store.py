@@ -43,17 +43,18 @@ destination must be missing, an empty directory or an index
 (check_out_dir); no file survives from an earlier index.
 
 A load reads each shard once and verifies the content hash before
-anything else. It then checks the structure with whole-array checks:
+anything else. It then checks the format with whole-array checks:
 manifest layer indices exactly 0..k-1 for some k >= 1, layer sizes
 that sum to the id counts, ids that are strings and do not repeat,
 entity ids sorted within each layer, offsets that do not decrease from 0
-to their shard's length, every row index in range, each parent exactly
-one layer up (none on the top layer), both endpoints of a relation on
-the relation's own layer, known kind codes, an empty relation text row
-exactly for each concatenated relation and an embedding shard of exactly
-n * embedding_dim * 8 bytes. Any failure raises StoreError (CLI exit 3).
-The embedding table is a read-only view of the bytes read. parent_map is
-a plain dict and each layer's id sets are IdRange views of the id lists;
+to their shard's length, an empty relation text row exactly for each
+concatenated relation and an embedding shard of exactly
+n * embedding_dim * 8 bytes. The links must pass Structure.violations,
+the structural rules validate_hierarchy reports and save_index enforces.
+Any failure raises StoreError (CLI exit 3).
+The embedding table is a read-only view of the bytes read, and so are
+the arrays of Hierarchy.structure. parent_map is a plain dict and each
+layer's id sets are IdRange views of the id lists;
 entities, relations and chunks are LazyRows maps that make a row on its
 first read. A row that is malformed, a relation row that is not UTF-8 and
 a concatenated relation with no evidence raise StoreError at that read,
@@ -86,16 +87,15 @@ from .model import (
     Hierarchy,
     IdRange,
     LazyRows,
+    RELATION_KINDS,
     Relation,
-    RelationEnds,
     RelationKind,
+    Structure,
 )
 from .providers import count_tokens
 
 FORMAT_VERSION = 3
 SHARDS = ("chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.txt", "structure.bin")
-# structure.bin stores a relation's kind as its index in this tuple
-RELATION_KINDS = tuple(RelationKind)
 CONCATENATED = RELATION_KINDS.index(RelationKind.INTER_CLUSTER_CONCATENATED)
 
 
@@ -278,9 +278,10 @@ class _Evidence:
     relations' parent-pair keys finds it for all pairs.
     """
 
-    def __init__(self, parents: np.ndarray, sources: np.ndarray, targets: np.ndarray):
+    def __init__(self, structure: Structure):
+        parents = structure.parents
         self._n = len(parents)
-        up_s, up_t = parents[sources], parents[targets]
+        up_s, up_t = parents[structure.sources], parents[structure.targets]
         # a relation within one cluster, or on the top layer, is no pair's evidence
         rows = np.flatnonzero((up_s != up_t) & (up_s >= 0) & (up_t >= 0))
         keys = self._key(up_s[rows], up_t[rows])
@@ -332,34 +333,31 @@ def save_index(
     """Write h, one vector per entity and the chunks as a format-3 index.
 
     Raises InvalidArgumentError before writing anything when directory
-    fails check_out_dir, when the vectors' ids differ from the entities
-    of h's layers, when a relation or parent link names an entity that
-    no layer lists, or when a relation's text cannot be stored once: a
+    fails check_out_dir, when a relation or parent link names an entity
+    that no layer lists, when the links break a rule of
+    Structure.violations, when the vectors' ids differ from the entities
+    of h's layers, or when a relation's text cannot be stored once: a
     concatenated relation whose description is not the join of its
     evidence, or another relation with an empty description.
     """
     directory = Path(directory).absolute()
     check_out_dir(directory)
-    entity_ids = EmbeddingTable.row_order(h)
+    try:
+        structure = Structure.of(h)
+    except KeyError as exc:
+        raise InvalidArgumentError(f"cannot save: {exc.args[0]!r} is not listed by any layer of the hierarchy") from None
+    for violation in structure.violations()[:1]:
+        raise InvalidArgumentError(f"cannot save: {violation}")
+    entity_ids, relation_ids = structure.entity_ids, structure.relation_ids
     if isinstance(embeddings, EmbeddingTable) and embeddings.ids == tuple(entity_ids):
         table = embeddings
     else:
         table = EmbeddingTable.for_hierarchy(h, embeddings)
-    relation_ids = [rid for layer in h.layers for rid in sorted(layer.relation_ids)]
-    try:
-        ends = RelationEnds.of(h, entity_ids, relation_ids)
-        rows = ends.entity_rows
-        parents = np.array([rows[h.parent_map[eid]] if eid in h.parent_map else -1 for eid in entity_ids], np.int32)
-    except KeyError as exc:
-        raise InvalidArgumentError(f"cannot save: {exc.args[0]!r} is not listed by any layer of the hierarchy") from None
-    relations = [h.relations[rid] for rid in relation_ids]
-    code_of = {kind: code for code, kind in enumerate(RELATION_KINDS)}
-    kinds = np.fromiter((code_of[r.kind] for r in relations), np.uint8, len(relations))
-    descriptions = [r.description for r in relations]
+    descriptions = [h.relations[rid].description for rid in relation_ids]
     relation_text, relation_offsets = _text_shard(
-        b"" if code == CONCATENATED else text.encode("utf-8") for text, code in zip(descriptions, kinds.tolist())
+        b"" if code == CONCATENATED else text.encode("utf-8") for text, code in zip(descriptions, structure.kinds.tolist())
     )
-    _check_relation_text(descriptions, kinds, relation_offsets, _Evidence(parents, ends.sources, ends.targets), ends)
+    _check_relation_text(descriptions, relation_offsets, structure)
     entity_text, entity_offsets = _text_shard(
         _json_line([e.name, e.description, e.source_chunk_ids]) for e in map(h.entities.__getitem__, entity_ids)
     )
@@ -367,15 +365,8 @@ def save_index(
     chunk_text, chunk_offsets = _text_shard(
         _json_line([c.text, c.doc_id, c.token_count]) for c in map(chunks.__getitem__, chunk_ids)
     )
-    arrays = {
-        "entity_offsets": entity_offsets,
-        "relation_offsets": relation_offsets,
-        "chunk_offsets": chunk_offsets,
-        "parents": parents,
-        "sources": ends.sources,
-        "targets": ends.targets,
-        "kinds": kinds,
-    }
+    offsets = {"entity_offsets": entity_offsets, "relation_offsets": relation_offsets, "chunk_offsets": chunk_offsets}
+    arrays = {**offsets, **vars(structure)}
     layout = _structure_layout(len(entity_ids), len(relation_ids), len(chunk_ids))
     ids = {"entities": entity_ids, "relations": relation_ids, "chunks": chunk_ids}
     shards = {
@@ -416,21 +407,20 @@ def save_index(
     return manifest
 
 
-def _check_relation_text(
-    descriptions: list[str], kinds: np.ndarray, offsets: np.ndarray, evidence: _Evidence, ends: RelationEnds
-) -> None:
+def _check_relation_text(descriptions: list[str], offsets: np.ndarray, structure: Structure) -> None:
     """Raise InvalidArgumentError unless the text rows lose nothing: every
     other relation's row is non-empty, and every concatenated relation's
     description is the "; "-join of its evidence's descriptions in row order."""
-    concatenated = kinds == CONCATENATED
+    concatenated = structure.kinds == CONCATENATED
     for j in np.flatnonzero(~concatenated & (offsets[1:] == offsets[:-1]))[:1].tolist():
-        raise InvalidArgumentError(f"cannot save: relation {ends.relation_ids[j]!r} has an empty description")
+        raise InvalidArgumentError(f"cannot save: relation {structure.relation_ids[j]!r} has an empty description")
     rows = np.flatnonzero(concatenated)
-    for j, evidence_rows in zip(rows.tolist(), evidence.rows(ends.sources[rows], ends.targets[rows])):
+    evidence = _Evidence(structure).rows(structure.sources[rows], structure.targets[rows])
+    for j, evidence_rows in zip(rows.tolist(), evidence):
         joined = "; ".join([descriptions[i] for i in evidence_rows.tolist()])
         if not len(evidence_rows) or descriptions[j] != joined:
             raise InvalidArgumentError(
-                f"cannot save: concatenated relation {ends.relation_ids[j]!r} is not the '; '-join of the "
+                f"cannot save: concatenated relation {structure.relation_ids[j]!r} is not the '; '-join of the "
                 "descriptions of the relations one layer down between its endpoints' children"
             )
 
@@ -479,7 +469,18 @@ def load_index(
     arrays = _read_structure(shards["structure.bin"], len(entity_ids), len(relation_ids), len(chunk_ids))
     for kind, shard in (("entity", "entities.jsonl"), ("relation", "relations.txt"), ("chunk", "chunks.jsonl")):
         _check_offsets(kind, arrays[f"{kind}_offsets"], shard, len(shards[shard]))
-    _check_links(arrays, entity_ids, relation_ids, entity_counts, relation_counts)
+    entity_rows, relation_rows = rows["entities"], rows["relations"]
+    links = (arrays[name] for name in ("parents", "sources", "targets", "kinds"))
+    structure = Structure(entity_ids, entity_rows, relation_ids, entity_counts, relation_counts, *links)
+    for violation in structure.violations()[:1]:
+        raise StoreError(f"structure.bin: {violation}")
+    # the format stores no text for exactly the concatenated relations
+    kinds, offsets = structure.kinds, arrays["relation_offsets"]
+    for j in np.flatnonzero((offsets[1:] == offsets[:-1]) != (kinds == CONCATENATED))[:1].tolist():
+        raise StoreError(
+            f"relations.txt: relation {relation_ids[j]!r} of kind {RELATION_KINDS[kinds[j]].value} has "
+            + ("a text row, which only the other kinds have" if kinds[j] == CONCATENATED else "an empty text row")
+        )
 
     n, dim = len(entity_ids), manifest.embedding_dim
     data = shards["embeddings.bin"]
@@ -490,11 +491,9 @@ def load_index(
     entity_starts = list(itertools.accumulate(entity_counts, initial=0))
     relation_starts = list(itertools.accumulate(relation_counts, initial=0))
     parents = arrays["parents"][: entity_starts[-2]].tolist()  # every row below the top layer
-    entity_rows, relation_rows = rows["entities"], rows["relations"]
-    ends = RelationEnds(entity_ids, entity_rows, relation_ids, arrays["sources"], arrays["targets"])
     h = Hierarchy(
         entities=LazyRows(entity_rows, _entity_reader(shards["entities.jsonl"], arrays["entity_offsets"], entity_ids, entity_starts)),
-        relations=LazyRows(relation_rows, _RelationReader(shards["relations.txt"], arrays, ends, relation_starts)),
+        relations=LazyRows(relation_rows, _RelationReader(shards["relations.txt"], arrays["relation_offsets"], structure, relation_starts)),
         layers=[
             GraphLayer(k, IdRange(entity_ids, entity_rows, a, b), IdRange(relation_ids, relation_rows, c, d))
             for k, (a, b, c, d) in enumerate(zip(entity_starts, entity_starts[1:], relation_starts, relation_starts[1:]))
@@ -502,7 +501,7 @@ def load_index(
         parent_map=dict(zip(entity_ids, [entity_ids[p] for p in parents])),
         build_params=build_params,
     )
-    h.relation_ends = ends
+    h.structure = structure
     chunks = LazyRows(rows["chunks"], _chunk_reader(shards["chunks.jsonl"], arrays["chunk_offsets"], chunk_ids))
     return h, EmbeddingTable(entity_ids, matrix, entity_rows), chunks, manifest
 
@@ -577,53 +576,6 @@ def _check_offsets(kind: str, offsets: np.ndarray, shard: str, size: int) -> Non
         raise StoreError(f"structure.bin: the {kind} row offsets do not run from 0 to the {size} bytes of {shard} without decreasing")
 
 
-def _check_links(
-    arrays: dict[str, np.ndarray],
-    entity_ids: list[str],
-    relation_ids: list[str],
-    entity_counts: list[int],
-    relation_counts: list[int],
-) -> None:
-    """Every parent is a row one layer up (-1 on the top layer), every relation
-    endpoint a row of the relation's own layer, every kind code known, and
-    exactly the concatenated relations have empty text rows."""
-    n, top = len(entity_ids), len(entity_counts) - 1
-    entity_layer = np.repeat(np.arange(top + 1), entity_counts)
-    relation_layer = np.repeat(np.arange(top + 1), relation_counts)
-
-    def layer_of(rows: np.ndarray) -> np.ndarray:
-        """The layer of each row, and -1 for a value that is no row."""
-        found = (rows >= 0) & (rows < n)
-        layers = np.full(len(rows), -1)
-        layers[found] = entity_layer[rows[found]]
-        return layers
-
-    parents = arrays["parents"]
-    wrong = np.where(entity_layer == top, parents != -1, layer_of(parents) != entity_layer + 1)
-    for i in np.flatnonzero(wrong)[:1].tolist():
-        raise StoreError(
-            f"structure.bin: entity {entity_ids[i]!r} on layer {entity_layer[i]} has parent row {parents[i]}, "
-            + ("but it is on the top layer" if entity_layer[i] == top else f"which is not a row of layer {entity_layer[i] + 1}")
-        )
-    for end in ("sources", "targets"):
-        rows = arrays[end]
-        for j in np.flatnonzero(layer_of(rows) != relation_layer)[:1].tolist():
-            raise StoreError(
-                f"structure.bin: relation {relation_ids[j]!r} on layer {relation_layer[j]} has {end[:-1]} row "
-                f"{rows[j]}, which is not a row of its layer"
-            )
-    kinds = arrays["kinds"]
-    for j in np.flatnonzero(kinds >= len(RELATION_KINDS))[:1].tolist():
-        raise StoreError(f"structure.bin: relation {relation_ids[j]!r} has unknown kind code {kinds[j]}")
-    offsets = arrays["relation_offsets"]
-    empty = offsets[1:] == offsets[:-1]
-    for j in np.flatnonzero(empty != (kinds == CONCATENATED))[:1].tolist():
-        raise StoreError(
-            f"relations.txt: relation {relation_ids[j]!r} of kind {RELATION_KINDS[kinds[j]].value} has "
-            + ("an empty text row" if empty[j] else "a text row, which only the other kinds have")
-        )
-
-
 def _json_row(shard: str, text: bytes, offsets: np.ndarray, i: int) -> object:
     try:
         return json.loads(text[offsets[i] : offsets[i + 1]])
@@ -666,35 +618,34 @@ class _RelationReader:
     concatenated rows) without making a Relation for them.
     """
 
-    def __init__(self, text: bytes, arrays: dict[str, np.ndarray], ends: RelationEnds, starts: list[int]):
-        self._text, self._offsets, self._kinds, self._parents = text, arrays["relation_offsets"], arrays["kinds"], arrays["parents"]
-        self._ends, self._starts = ends, starts
+    def __init__(self, text: bytes, offsets: np.ndarray, structure: Structure, starts: list[int]):
+        self._text, self._offsets, self._structure, self._starts = text, offsets, structure, starts
         self._evidence: _Evidence | None = None  # built on the first concatenated read
 
     def __call__(self, j: int) -> Relation:
-        ends = self._ends
+        s = self._structure
         return Relation(
-            ends.relation_ids[j],
-            ends.entity_ids[ends.sources[j]],
-            ends.entity_ids[ends.targets[j]],
+            s.relation_ids[j],
+            s.entity_ids[s.sources[j]],
+            s.entity_ids[s.targets[j]],
             self._description(j),
             bisect_right(self._starts, j) - 1,
-            RELATION_KINDS[self._kinds[j]],
+            RELATION_KINDS[s.kinds[j]],
         )
 
     def _description(self, j: int) -> str:
-        if self._kinds[j] != CONCATENATED:
+        s = self._structure
+        if s.kinds[j] != CONCATENATED:
             try:
                 return self._text[self._offsets[j] : self._offsets[j + 1]].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise StoreError(f"relations.txt: row {j} is not UTF-8: {exc}") from None
-        ends = self._ends
         if self._evidence is None:
-            self._evidence = _Evidence(self._parents, ends.sources, ends.targets)
-        (rows,) = self._evidence.rows(ends.sources[j : j + 1], ends.targets[j : j + 1])
+            self._evidence = _Evidence(s)
+        (rows,) = self._evidence.rows(s.sources[j : j + 1], s.targets[j : j + 1])
         if not len(rows):
             raise StoreError(
-                f"structure.bin: concatenated relation {ends.relation_ids[j]!r} joins two aggregates "
+                f"structure.bin: concatenated relation {s.relation_ids[j]!r} joins two aggregates "
                 "with no relation between their children"
             )
         return "; ".join([self._description(i) for i in rows.tolist()])

@@ -97,6 +97,20 @@ class TestBuild:
         capsys.readouterr()
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("stop_at", ["0", "-1"])
+    def test_stop_at_below_1_is_usage_error(self, tmp_path, ingest_file, capsys, provider_calls, stop_at):
+        # --stop-at 0 used to make every embedding and generation call and then
+        # exit 2: "cannot aggregate a layer with fewer than 2 entities"
+        out = tmp_path / "o"
+        code = main([
+            "build", "--input", str(ingest_file), "--out", str(out),
+            "--stop-at", stop_at, "--cluster-size", "10", "--max-layers", "6",
+        ])
+        capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert provider_calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("renamed", [None, "e0000", "r00000"], ids=["control", "entity", "relation"])
     def test_reserved_aggregate_id_is_usage_error(self, tmp_path, capsys, provider_calls, renamed):
         # an input entity agg:1:0 used to run every layer's generation calls and

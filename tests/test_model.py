@@ -436,16 +436,6 @@ def test_id_range_is_a_read_only_set_view():
     assert not hasattr(view, "add") and not hasattr(view, "discard")
 
 
-def test_chunk_roundtrip():
-    c = Chunk(id="c1", text="a b c", doc_id="d", token_count=3)
-    assert Chunk.from_dict(c.to_dict()) == c
-
-
-def test_relation_roundtrip():
-    r = Relation(id="r1", source_id="a", target_id="b", description="x", layer=0)
-    assert Relation.from_dict(r.to_dict()) == r
-
-
 @pytest.mark.parametrize(
     "obj",
     [

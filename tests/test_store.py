@@ -37,6 +37,15 @@ from hierkg.aggregation import build_hierarchy
 from hierkg.providers import MockEmbeddingProvider, MockGenerationProvider
 
 from helpers import make_layer0, write_ingest_jsonl
+from test_model import (
+    childless_aggregate,
+    endpoint_on_other_layer,
+    missing_parent,
+    parent_cycle,
+    parent_two_layers_up,
+    self_loop,
+    wrong_kind,
+)
 
 
 def write_lines(path, lines):
@@ -396,6 +405,27 @@ class TestSave:
             save_index(h, embeddings, chunks, out)
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            parent_two_layers_up, parent_cycle, missing_parent, childless_aggregate,
+            self_loop, endpoint_on_other_layer, wrong_kind,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_structural_rules_of_validate_hierarchy_hold(self, tmp_path, corrupt):
+        # the links once needed only to name listed entities: a layer-1 relation
+        # of kind base, for one, was written, and then loaded as well
+        h, embeddings, chunks, _, _ = build_small_index(tmp_path, cluster_size=4)
+        corrupt(h, random.Random(0))
+        violations = validate_hierarchy(h)
+        assert violations
+        out = tmp_path / "nested" / "out"
+        with pytest.raises(InvalidArgumentError) as exc:
+            save_index(h, embeddings, chunks, out)
+        assert str(exc.value) == f"cannot save: {violations[0]}"
+        assert not (tmp_path / "nested").exists()
+
     @pytest.mark.parametrize("change", ["one-vector-short", "one-vector-extra"])
     def test_embeddings_must_cover_the_hierarchy(self, tmp_path, change):
         # the index used to be written, and load_index then refused it:
@@ -562,6 +592,19 @@ def concatenated_without_evidence(directory):
     write_structure(directory, ids, arrays)
 
 
+def relation_to_itself(ids, arrays):
+    """The first layer-0 relation's target becomes its source."""
+    j = first_row_of_layer(ids, "relations", 0)
+    arrays["targets"][j] = arrays["sources"][j]
+
+
+def one_aggregate_adopts_layer_0(ids, arrays):
+    """Every layer-0 entity's parent becomes the first layer-1 aggregate,
+    which leaves the other layer-1 aggregates without children."""
+    first = first_row_of_layer(ids, "entities", 1)
+    arrays["parents"][:first] = first
+
+
 def set_array(name, kind, layer, value):
     def edit(ids, arrays):
         arrays[name][first_row_of_layer(ids, kind, layer)] = value(ids, arrays) if callable(value) else value
@@ -613,6 +656,9 @@ class TestLoadFailsClosed:
             ("relations.txt", set_concatenated_row(b"a; b"), "load"),
             ("relations.txt", set_row("relations", 0, row=b""), "load"),
             ("structure.bin", concatenated_without_evidence, "read"),
+            ("structure.bin", edit_structure(relation_to_itself), "load"),
+            ("structure.bin", set_array("kinds", "relations", 1, list(RelationKind).index(RelationKind.BASE)), "load"),
+            ("structure.bin", edit_structure(one_aggregate_adopts_layer_0), "load"),
         ],
         ids=[
             "entity-row-not-object",
@@ -637,6 +683,9 @@ class TestLoadFailsClosed:
             "concatenated-relation-row-not-empty",
             "other-relation-row-empty",
             "concatenated-relation-without-evidence",
+            "relation-self-loop",
+            "base-kind-above-layer-0",
+            "aggregate-without-children",
         ],
     )
     def test_malformed_row(self, tmp_path, caplog, shard, edit, when):
