@@ -229,8 +229,10 @@ def build_hierarchy(
     build never writes to them, since parent links live only in
     h.parent_map. An entity or relation id that starts with
     AGGREGATE_ID_PREFIX is an InvalidArgumentError, raised before any
-    provider call.
+    provider call; so is max_workers below 1.
     """
+    if max_workers < 1:
+        raise InvalidArgumentError(f"max_workers must be >= 1, got {max_workers}")
     if not entities:
         raise InvalidArgumentError("layer 0 is empty")
     reserved = sorted(i for ids in (entities, relations) for i in ids if i.startswith(AGGREGATE_ID_PREFIX))

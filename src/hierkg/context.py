@@ -71,8 +71,31 @@ def rank_chunks(
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
-def _one_line(text: str) -> str:
-    return " ".join(text.split())
+def _entity_row(h: Hierarchy, eid: str) -> tuple:
+    """Render one entity line, count its tokens and keep the row (Hierarchy.entity_lines)."""
+    e = h.entities[eid]
+    name, description = e.name.split(), e.description.split()
+    head = f"[L{e.layer}] {e.id} |"
+    line = f"{head} {' '.join(name)} | {' '.join(description)}"
+    tokens = len(head.split()) + len(name) + 1 + len(description)  # 1: the "|" after the name
+    row = h.entity_lines[eid] = (-e.layer, eid, line, tokens)
+    return row
+
+
+def _relation_row(h: Hierarchy, rid: str) -> tuple:
+    """Render one stored-relation line, count its tokens and keep the row (Hierarchy.relation_lines)."""
+    r = h.relations[rid]
+    kind = r.kind.value
+    description = r.description.split()
+    head = f"[{kind}] {r.id} | {r.source_id} -> {r.target_id} |"
+    line = f"{head} {' '.join(description)}"
+    row = h.relation_lines[rid] = (kind, rid, line, len(head.split()) + len(description))
+    return row
+
+
+def _section(header: str, lines: list[str], tokens: int) -> tuple[str, int]:
+    """The "\n"-join of a header and its lines, and its token count given the lines' count."""
+    return "\n".join([header, *lines]), count_tokens(header) + tokens
 
 
 def assemble_context(
@@ -89,42 +112,47 @@ def assemble_context(
     Entities are ordered by (layer desc, id), relations by (kind, id),
     chunks by rank. The two ablation flags only remove sections; the
     entity section is byte-identical across all flag combinations.
+
+    Each entity and stored-relation line is rendered once per hierarchy
+    and kept with its sort key and token count (Hierarchy.entity_lines,
+    relation_lines), so a later bundle only sorts, joins and sums. A
+    section's token count is its header's plus its lines' counts: exact,
+    since count_tokens is a whitespace split and a section is a "\n"-join.
     """
     if top_c < 0:
         raise InvalidArgumentError(f"top_c must be >= 0, got {top_c}")
 
-    entity_lines = ["# Entities"]
-    ordered = sorted(sub.node_ids, key=lambda eid: (-h.entities[eid].layer, eid))
-    for eid in ordered:
-        e = h.entities[eid]
-        entity_lines.append(f"[L{e.layer}] {e.id} | {_one_line(e.name)} | {_one_line(e.description)}")
-    entity_section = "\n".join(entity_lines)
+    kept = h.entity_lines
+    rows = sorted([kept.get(eid) or _entity_row(h, eid) for eid in sub.node_ids])
+    entity_section, entity_tokens = _section(
+        "# Entities", [row[2] for row in rows], sum(row[3] for row in rows)
+    )
 
-    relation_section = ""
+    relation_section, relation_tokens = "", 0
     if include_relations:
-        relation_lines = ["# Relations"]
-        for child, parent in sub.parent_edges():
-            relation_lines.append(f"[parent] {child} -> {parent}")
-        stored = [(h.relations[rid].kind.value, rid) for rid in sub.path_relations]
-        stored += [(h.relations[rid].kind.value, rid) for rid in sub.inter_cluster_relations]
-        for _, rid in sorted(stored):
-            r = h.relations[rid]
-            relation_lines.append(
-                f"[{r.kind.value}] {r.id} | {r.source_id} -> {r.target_id} | {_one_line(r.description)}"
-            )
-        relation_section = "\n".join(relation_lines)
+        lines = [f"[parent] {child} -> {parent}" for child, parent in sub.parent_edges()]
+        tokens = sum(map(count_tokens, lines))
+        kept = h.relation_lines
+        rows = [kept.get(rid) or _relation_row(h, rid) for rid in sub.path_relations]
+        rows += [kept.get(rid) or _relation_row(h, rid) for rid in sub.inter_cluster_relations]
+        rows.sort()
+        lines += [row[2] for row in rows]
+        relation_section, relation_tokens = _section("# Relations", lines, tokens + sum(row[3] for row in rows))
 
-    chunk_section = ""
+    chunk_section, chunk_tokens = "", 0
     if include_chunks:
-        chunk_lines = ["# Chunks"]
+        lines, tokens = [], 0
         for cid, _count in rank_chunks(h, seeds, chunks)[:top_c]:
-            chunk_lines.append(f"{cid} | {_one_line(chunks[cid].text)}")
-        chunk_section = "\n".join(chunk_lines)
+            head = f"{cid} |"
+            text = chunks[cid].text.split()
+            lines.append(f"{head} {' '.join(text)}")
+            tokens += len(head.split()) + len(text)
+        chunk_section, chunk_tokens = _section("# Chunks", lines, tokens)
 
     token_counts = {
-        "entity_section": count_tokens(entity_section),
-        "relation_section": count_tokens(relation_section),
-        "chunk_section": count_tokens(chunk_section),
+        "entity_section": entity_tokens,
+        "relation_section": relation_tokens,
+        "chunk_section": chunk_tokens,
     }
     token_counts["total"] = sum(token_counts.values())
     return ContextBundle(

@@ -185,13 +185,15 @@ class Hierarchy:
     id) is the only record of parent links; top-layer entities have no entry.
 
     layer0_ids, structure, neighbours and parallel_relations are
-    query-time views computed on first access and then frozen: do not
-    mutate a hierarchy after it has been queried, or later queries read
-    the stale views. load_index sets structure from the index's arrays,
-    so the same holds for a loaded hierarchy from the start. Build never
-    touches the views; save_index and validate_hierarchy make a fresh
-    Structure.of(h) instead, so they see the hierarchy as it is now. No
-    view holds a reference back to the hierarchy.
+    query-time views computed on first access and then frozen, and
+    entity_lines and relation_lines keep each context line from its first
+    render on: do not mutate a hierarchy after it has been queried, or
+    later queries read the stale views and lines. load_index sets
+    structure from the index's arrays, so the same holds for a loaded
+    hierarchy from the start. Build never touches the views; save_index
+    and validate_hierarchy make a fresh Structure.of(h) instead, so they
+    see the hierarchy as it is now. No view holds a reference back to the
+    hierarchy.
     """
 
     entities: dict[str, Entity] = field(default_factory=dict)
@@ -227,6 +229,18 @@ class Hierarchy:
         """First relation id of a pair (as in neighbours) -> ids of the other
         relations joining the same pair; a pair joined once has no entry."""
         return self.structure.parallel_relations()
+
+    @cached_property
+    def entity_lines(self) -> dict[str, tuple]:
+        """Entity id -> (-layer, id, context line, its token count), the
+        rows hierkg.context renders, each kept from its first render on."""
+        return {}
+
+    @cached_property
+    def relation_lines(self) -> dict[str, tuple]:
+        """Relation id -> (kind, id, context line, its token count), as
+        entity_lines."""
+        return {}
 
     def ancestors(self, entity_id: str) -> list[str]:
         """Chain from the entity up to its topmost ancestor, inclusive."""

@@ -30,8 +30,10 @@ MOCK_EMBEDDING_DIM = 256
 def count_tokens(text: str) -> int:
     """Whitespace token count, the engine-wide tokenizer.
 
-    Additive over separator-joined concatenation, which the context module
-    relies on for per-section accounting.
+    Additive over whitespace-joined concatenation: count_tokens(a + sep + b)
+    == count_tokens(a) + count_tokens(b) for any whitespace sep. The context
+    module relies on it: it counts each line's tokens from the split that
+    renders the line, and a section's count is its header's plus its lines'.
     """
     return len(text.split())
 

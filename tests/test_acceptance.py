@@ -31,7 +31,8 @@ from hierkg.retrieval import (
     lca_paths,
     retrieve,
 )
-from hierkg.store import save_index
+from hierkg.providers import count_tokens
+from hierkg.store import load_index, save_index
 
 from helpers import make_layer0, make_random_hierarchy, pair_lca, topical_corpus
 
@@ -354,3 +355,43 @@ def test_09_ablation_contracts():
         and "# Chunks" not in no_chunk.rendering()
     )
     verdict("ablation contracts", ok)
+
+
+def test_10_kept_lines_match_a_fresh_hierarchy(tmp_path):
+    """Many bundles in mixed order on one built and one loaded hierarchy
+    equal those of a freshly loaded hierarchy, and their token counts equal
+    count_tokens of their sections and rendering."""
+    rng = random.Random(1000)
+    entities, relations, chunks, queries = topical_corpus(rng, n_topics=5)
+    params = BuildParams(cluster_size=10, seed=3, stop_when_entities_leq=3, max_layers=4)
+    embed = MockEmbeddingProvider()
+    built, embeddings, _ = build_hierarchy(entities, relations, params, embed, MockGenerationProvider())
+    save_index(built, embeddings, chunks, tmp_path / "index")
+    loaded, loaded_embeddings, loaded_chunks, _ = load_index(tmp_path / "index")
+
+    cases = [
+        (query, strategy, rng.random() < 0.7, rng.random() < 0.7, rng.choice([0, 1, 3, 5]))
+        for query in queries[:20]
+        for strategy in ("lean", "flat")
+    ]
+    bad = []
+    for h, vectors, chunk_map in ((built, embeddings, chunks), (loaded, loaded_embeddings, loaded_chunks)):
+        for query, strategy, include_relations, include_chunks, top_c in rng.sample(cases * 3, len(cases) * 3):
+            seeds, sub = retrieve(h, vectors, query, 8, embed)
+            if strategy == "flat":
+                sub = flat_path_retrieve(h, seeds, max_hops=rng.choice([1, 2, 4]))
+            flags = dict(top_c=top_c, include_relations=include_relations, include_chunks=include_chunks)
+            bundle = assemble_context(h, sub, seeds, chunk_map, **flags)
+            fresh, _, fresh_chunks, _ = load_index(tmp_path / "index")
+            if bundle.to_dict() != assemble_context(fresh, sub, seeds, fresh_chunks, **flags).to_dict():
+                bad.append(f"{query!r} {strategy} {flags}: differs from a fresh hierarchy")
+            for section in ("entity_section", "relation_section", "chunk_section"):
+                if bundle.token_counts[section] != count_tokens(getattr(bundle, section)):
+                    bad.append(f"{query!r} {strategy} {flags}: {section} token count")
+            if bundle.token_counts["total"] != count_tokens(bundle.rendering()):
+                bad.append(f"{query!r} {strategy} {flags}: total token count")
+    verdict(
+        "kept context lines match a fresh hierarchy",
+        not bad and built.entity_lines and loaded.relation_lines,
+        f"{len(cases) * 6} bundles; {bad[:3]}",
+    )

@@ -111,6 +111,19 @@ class TestBuild:
         assert provider_calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_1_is_usage_error(self, tmp_path, ingest_file, capsys, provider_calls, workers):
+        # --workers 0 used to be accepted and run the build sequentially
+        out = tmp_path / "o"
+        code = main([
+            "build", "--input", str(ingest_file), "--out", str(out),
+            "--workers", workers, "--cluster-size", "10",
+        ])
+        capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert provider_calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("renamed", [None, "e0000", "r00000"], ids=["control", "entity", "relation"])
     def test_reserved_aggregate_id_is_usage_error(self, tmp_path, capsys, provider_calls, renamed):
         # an input entity agg:1:0 used to run every layer's generation calls and

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from hierkg import context
+from hierkg.aggregation import build_hierarchy
 from hierkg.context import assemble_context, rank_chunks, redundancy_report
 from hierkg.errors import InvalidArgumentError
-from hierkg.model import Chunk, Entity, GraphLayer, Hierarchy, Relation
-from hierkg.providers import count_tokens
-from hierkg.retrieval import SeedSet, lca_paths, assemble_subgraph
+from hierkg.model import BuildParams, Chunk, Entity, GraphLayer, Hierarchy, Relation
+from hierkg.providers import MockEmbeddingProvider, MockGenerationProvider, count_tokens
+from hierkg.retrieval import SeedSet, flat_path_retrieve, lca_paths, assemble_subgraph, retrieve
+from hierkg.store import load_index, save_index
 
 from helpers import make_layer0, make_random_hierarchy
 
@@ -156,6 +159,81 @@ class TestAssembleContext:
         bundle = assemble_context(h, sub, seeds, chunks)
         assert "line one line two tabbed" in bundle.entity_section
         assert "\n\n\n" not in bundle.rendering()
+
+
+# names and descriptions with tabs, newlines, runs of spaces, non-ASCII and
+# the Unicode whitespace str.split() breaks on (no-break, ideographic, U+001F)
+AWKWARD_NAMES = ["", "Zürich\tnorth", "naïve\nline  two", "  padded  ", "東京\u3000タワー", "x\x1fy"]
+AWKWARD_WORDS = ["glacier", "straße", "café", "a\u00a0b", "\t", "\n\n", "  ", "summit", "ü"]
+
+
+def awkward_world(tmp_path):
+    """A built hierarchy over awkward text, ids with inner spaces, its chunks,
+    and the same index saved and loaded."""
+    rng = random.Random(11)
+
+    def text(n):
+        return " ".join(rng.choice(AWKWARD_WORDS) for _ in range(n))
+
+    chunks = {f"chunk {k}": Chunk(id=f"chunk {k}", text=text(12), doc_id="d", token_count=0) for k in range(6)}
+    entities = {
+        f"ent {i:02d}": Entity(
+            id=f"ent {i:02d}",
+            name=AWKWARD_NAMES[i % len(AWKWARD_NAMES)],
+            description=text(10),
+            source_chunk_ids=rng.sample(sorted(chunks), 2),
+        )
+        for i in range(30)
+    }
+    ids = sorted(entities)
+    relations = {}
+    for k in range(60):
+        a, b = rng.sample(ids, 2)
+        relations[f"rel {k}"] = Relation(id=f"rel {k}", source_id=a, target_id=b, description="\t\n " if k == 0 else text(5))
+    params = BuildParams(cluster_size=6, seed=1, stop_when_entities_leq=3)
+    embed = MockEmbeddingProvider()
+    built, embeddings, _ = build_hierarchy(entities, relations, params, embed, MockGenerationProvider())
+    save_index(built, embeddings, chunks, tmp_path / "index")
+    return built, embeddings, chunks, load_index(tmp_path / "index")[:3]
+
+
+class TestKeptLines:
+    def test_token_counts_exact_on_awkward_text(self, tmp_path):
+        built, embeddings, chunks, loaded = awkward_world(tmp_path)
+        embed = MockEmbeddingProvider()
+        bundles = {}
+        for name, (h, vectors, chunk_map) in {"built": (built, embeddings, chunks), "loaded": loaded}.items():
+            for query in ["glacier straße", "café summit ü", "Zürich naïve"] * 2:
+                seeds, sub = retrieve(h, vectors, query, 6, embed)
+                for sub in (sub, flat_path_retrieve(h, seeds, max_hops=3)):
+                    bundle = assemble_context(h, sub, seeds, chunk_map, top_c=3)
+                    bundles.setdefault(name, []).append(bundle.to_dict())
+                    for section in ("entity_section", "relation_section", "chunk_section"):
+                        assert bundle.token_counts[section] == count_tokens(getattr(bundle, section))
+                    assert bundle.token_counts["total"] == count_tokens(bundle.rendering())
+                    lines = bundle.entity_section.split("\n")[1:]
+                    for eid in sub.node_ids:
+                        e = h.entities[eid]
+                        line = f"[L{e.layer}] {eid} | {' '.join(e.name.split())} | {' '.join(e.description.split())}"
+                        assert line in lines
+                    lines = bundle.relation_section.split("\n")
+                    for rid in sub.path_relations + sub.inter_cluster_relations:
+                        r = h.relations[rid]
+                        line = f"[{r.kind.value}] {rid} | {r.source_id} -> {r.target_id} | {' '.join(r.description.split())}"
+                        assert line in lines
+        assert bundles["built"] == bundles["loaded"]
+        assert any("[L0] ent 00 |  | " in b["entity_section"] for b in bundles["built"])
+
+    def test_lines_rendered_once_per_hierarchy(self, monkeypatch):
+        h, chunks, seeds, sub, first = make_bundle()
+        calls = []
+        for name in ("_entity_row", "_relation_row"):
+            render = getattr(context, name)
+            monkeypatch.setattr(context, name, lambda h, row_id, _render=render: calls.append(row_id) or _render(h, row_id))
+        again = assemble_context(h, sub, seeds, chunks)
+        assert calls == []
+        assert again == first
+        assert set(h.entity_lines) == sub.node_ids
 
 
 class TestRedundancyReport:
