@@ -7,8 +7,8 @@ climbing to their lowest common ancestors, and benchmarks the token
 footprint of that strategy against a flat shortest-path baseline.
 """
 
-from .aggregation import BuildReport, build_hierarchy
-from .context import ContextBundle, assemble_context, rank_chunks, redundancy_report
+from .aggregation import build_hierarchy
+from .context import assemble_context, rank_chunks, redundancy_report
 from .errors import HierKGError
 from .model import (
     BuildParams,
@@ -21,29 +21,13 @@ from .model import (
     RelationKind,
     validate_hierarchy,
 )
-from .providers import (
-    MockEmbeddingProvider,
-    MockGenerationProvider,
-    count_tokens,
-    make_embedding_provider,
-    make_generation_provider,
-)
-from .retrieval import (
-    RetrievedSubgraph,
-    SeedSet,
-    anchor_seeds,
-    assemble_subgraph,
-    flat_path_retrieve,
-    lca_paths,
-    retrieve,
-)
+from .providers import MockEmbeddingProvider, MockGenerationProvider, count_tokens
+from .retrieval import SeedSet, assemble_subgraph, flat_path_retrieve, lca_paths, retrieve
 from .store import ingest, load_index, save_index
 
 __all__ = [
     "BuildParams",
-    "BuildReport",
     "Chunk",
-    "ContextBundle",
     "EmbeddingTable",
     "Entity",
     "GraphLayer",
@@ -53,9 +37,7 @@ __all__ = [
     "MockGenerationProvider",
     "Relation",
     "RelationKind",
-    "RetrievedSubgraph",
     "SeedSet",
-    "anchor_seeds",
     "assemble_context",
     "assemble_subgraph",
     "build_hierarchy",
@@ -64,8 +46,6 @@ __all__ = [
     "ingest",
     "lca_paths",
     "load_index",
-    "make_embedding_provider",
-    "make_generation_provider",
     "rank_chunks",
     "redundancy_report",
     "retrieve",

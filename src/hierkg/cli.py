@@ -12,7 +12,6 @@ import csv
 import json
 import logging
 import sys
-from pathlib import Path
 
 from . import aggregation, context, retrieval, store
 from .errors import (
@@ -42,7 +41,8 @@ def _load_provider_config(path: str | None) -> dict:
     if path is None:
         return {"embedding": {"provider": "mock"}, "generation": {"provider": "mock"}}
     try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
+        with store.open_input(path) as fh:
+            config = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"provider config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
@@ -159,11 +159,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     embed = make_embedding_provider(providers_cfg["embedding"])
     h, embeddings, chunks, _manifest = store.load_index(args.index)
 
-    queries = [
-        line.strip()
-        for line in Path(args.queries).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    with store.open_input(args.queries) as fh:
+        queries = [line.strip() for line in fh.read().splitlines() if line.strip()]
     rows = []
     for query in queries:
         lean, flat = _make_bundles(h, embeddings, chunks, embed, query, args)

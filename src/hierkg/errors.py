@@ -18,7 +18,7 @@ class NotFoundError(HierKGError):
 
 
 class IngestError(HierKGError):
-    """Malformed or referentially broken ingest data."""
+    """An input file that cannot be read, or malformed or referentially broken ingest data."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -8,7 +8,7 @@ entity vectors live in one EmbeddingTable, in layer order. A Structure
 holds a hierarchy's links as rows (parent rows, relation endpoint rows
 and kind codes: the arrays an index stores); its violations() states
 each structural rule once, for validate_hierarchy, save_index and
-load_index alike, and the neighbour views are made from it. A loaded
+load_index alike, and every query view is made from it. A loaded
 index's entities, relations and chunks are LazyRows maps, which make
 each row on its first read, and its layers' id sets are IdRange views of
 the id lists.
@@ -184,11 +184,11 @@ class Hierarchy:
     field is k, and layer 0 is never empty. parent_map (child id -> parent
     id) is the only record of parent links; top-layer entities have no entry.
 
-    layer0_ids, structure, neighbours and parallel_relations are
-    query-time views computed on first access and then frozen, and
-    entity_lines and relation_lines keep each context line from its first
-    render on: do not mutate a hierarchy after it has been queried, or
-    later queries read the stale views and lines. load_index sets
+    structure, and layer0_ids and neighbours made from it, are query-time
+    views computed on first access and then frozen, and entity_lines and
+    relation_lines keep each context line from its first render on: do
+    not mutate a hierarchy after it has been queried, or later queries
+    read the stale views and lines. load_index sets
     structure from the index's arrays, so the same holds for a loaded
     hierarchy from the start. Build never touches the views; save_index
     and validate_hierarchy make a fresh Structure.of(h) instead, so they
@@ -204,8 +204,8 @@ class Hierarchy:
 
     @cached_property
     def layer0_ids(self) -> tuple[str, ...]:
-        """Layer-0 entity ids in sorted order."""
-        return tuple(sorted(self.layers[0].entity_ids))
+        """Layer-0 entity ids in sorted order: the first rows of structure."""
+        return tuple(self.structure.entity_ids[: self.structure.entity_counts[0]])
 
     @cached_property
     def structure(self) -> Structure:
@@ -213,22 +213,15 @@ class Hierarchy:
         return Structure.of(self)
 
     @cached_property
-    def neighbours(self) -> dict[str, dict[str, str]]:
-        """Entity id -> {neighbour id: id of the first relation joining the two}.
+    def neighbours(self) -> dict[str, dict[str, str | tuple[str, ...]]]:
+        """Entity id -> {neighbour id: the relation joining the two}.
 
-        Every entity has a row, empty when no relation touches it, and a
-        relation is listed under both of its endpoints. "First" is in
-        relation row order. A row is made from structure on its first
-        read. The other relations joining the same pair are in
-        parallel_relations.
+        When several relations join the pair, the value is a tuple of all
+        of them in relation row order. Every entity has a row, empty when
+        no relation touches it, and a relation is listed under both of its
+        endpoints. A row is made from structure on its first read.
         """
         return self.structure.neighbour_rows()
-
-    @cached_property
-    def parallel_relations(self) -> dict[str, list[str]]:
-        """First relation id of a pair (as in neighbours) -> ids of the other
-        relations joining the same pair; a pair joined once has no entry."""
-        return self.structure.parallel_relations()
 
     @cached_property
     def entity_lines(self) -> dict[str, tuple]:
@@ -435,29 +428,17 @@ class Structure:
         others, relation_of = ends[order ^ 1], order >> 1
         starts = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=len(entity_ids))))).tolist()
 
-        def row(i: int) -> dict[str, str]:
+        def row(i: int) -> dict[str, str | tuple[str, ...]]:
             a, b = starts[i], starts[i + 1]
-            found: dict[str, str] = {}
+            found: dict[str, str | tuple[str, ...]] = {}
             for v, j in zip(others[a:b].tolist(), relation_of[a:b].tolist()):
-                found.setdefault(entity_ids[v], relation_ids[j])
+                rid = relation_ids[j]
+                first = found.setdefault(entity_ids[v], rid)
+                if first is not rid:  # a parallel relation: the pair's value becomes a tuple
+                    found[entity_ids[v]] = (*first, rid) if type(first) is tuple else (first, rid)
             return found
 
         return LazyRows(self.entity_rows, row)
-
-    def parallel_relations(self) -> dict[str, list[str]]:
-        """Hierarchy.parallel_relations, from one sort of the relations by endpoint pair."""
-        low = np.minimum(self.sources, self.targets).astype(np.int64)
-        pairs = low * len(self.entity_ids) + np.maximum(self.sources, self.targets)
-        order = np.argsort(pairs)
-        ordered = pairs[order]
-        groups: dict[int, set[int]] = {}
-        for k in np.flatnonzero(ordered[1:] == ordered[:-1]).tolist():
-            groups.setdefault(int(ordered[k]), set()).update((int(order[k]), int(order[k + 1])))
-        parallel: dict[str, list[str]] = {}
-        for group in groups.values():
-            first, *rest = sorted(group)
-            parallel[self.relation_ids[first]] = [self.relation_ids[j] for j in rest]
-        return parallel
 
 
 class EmbeddingTable(Mapping[str, np.ndarray]):

@@ -39,10 +39,7 @@ def count_tokens(text: str) -> int:
 
 
 def truncate_tokens(text: str, budget: int) -> str:
-    words = text.split()
-    if len(words) <= budget:
-        return " ".join(words)
-    return " ".join(words[:budget])
+    return " ".join(text.split()[:budget])
 
 
 @dataclass
@@ -104,6 +101,8 @@ class MockGenerationProvider:
     """
 
     def __init__(self, description_budget: int = 60):
+        if description_budget < 1:
+            raise InvalidArgumentError("description_budget must be >= 1")
         self.description_budget = description_budget
 
     def generate_aggregate_entity(
@@ -309,7 +308,7 @@ class HttpGenerationProvider:
 def make_embedding_provider(config: dict) -> object:
     kind = config.get("provider", "mock")
     if kind == "mock":
-        return MockEmbeddingProvider(dim=config.get("dim", MOCK_EMBEDDING_DIM))
+        return MockEmbeddingProvider(**_settings(config, "mock embedding", {"dim": int}))
     if kind == "http":
         return HttpEmbeddingProvider(_provider_config(config))
     raise InvalidArgumentError(f"unknown embedding provider: {kind}")
@@ -318,27 +317,35 @@ def make_embedding_provider(config: dict) -> object:
 def make_generation_provider(config: dict) -> object:
     kind = config.get("provider", "mock")
     if kind == "mock":
-        return MockGenerationProvider(description_budget=config.get("description_budget", 60))
+        return MockGenerationProvider(**_settings(config, "mock generation", {"description_budget": int}))
     if kind == "http":
         return HttpGenerationProvider(_provider_config(config))
     raise InvalidArgumentError(f"unknown generation provider: {kind}")
 
 
+def _settings(config: dict, kind: str, types: dict[str, type]) -> dict:
+    """A provider block's keys other than "provider", each of which must be
+    named in types and have its type there (a float setting takes an int
+    too, no setting a bool); such a config would fail later or be ignored."""
+    settings = {k: v for k, v in config.items() if k != "provider"}
+    unknown = sorted(settings.keys() - types.keys())
+    if unknown:
+        raise InvalidArgumentError(f"unknown {kind} provider keys {unknown}; expected provider, {', '.join(sorted(types))}")
+    for key, value in settings.items():
+        expected = (int, float) if types[key] is float else types[key]
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise InvalidArgumentError(f"{kind} provider key {key!r} must be a {types[key].__name__}, got {value!r:.40}")
+    return settings
+
+
 def _provider_config(config: dict) -> ProviderConfig:
     """The ProviderConfig of an http provider's JSON block.
 
-    Keys other than "provider" and the ProviderConfig fields, and a missing
-    or empty endpoint, are usage errors: such a config could only fail
-    later, after every retry.
+    Its keys are "provider" and the ProviderConfig fields, each of the
+    type of the field's default (_settings); a missing or empty endpoint
+    is a usage error too.
     """
-    settings = {k: v for k, v in config.items() if k != "provider"}
-    known = {f.name for f in fields(ProviderConfig)}
-    unknown = sorted(set(settings) - known)
-    if unknown:
-        raise InvalidArgumentError(
-            f"unknown http provider keys {unknown}; expected provider, {', '.join(sorted(known))}"
-        )
-    endpoint = settings.get("endpoint")
-    if not isinstance(endpoint, str) or not endpoint.strip():
+    settings = _settings(config, "http", {f.name: type(f.default) for f in fields(ProviderConfig)})
+    if not settings.get("endpoint", "").strip():
         raise InvalidArgumentError("http provider needs a non-empty endpoint")
     return ProviderConfig(**settings)

@@ -11,11 +11,10 @@ plus stored same-layer inter-cluster relations among retrieved
 aggregates. A flat shortest-path BFS over layer 0 is kept as the
 redundancy baseline.
 
-Both paths find relations through Hierarchy.neighbours (with
-parallel_relations), built once on the first query: the subgraph
-intersects each retrieved node's neighbours with the node set and reads
-only the relations it keeps, and the BFS walks neighbour keys without
-reading any relation.
+Both paths find relations through one view, Hierarchy.neighbours, whose
+rows are made on first read: the subgraph intersects each retrieved
+node's neighbours with the node set and reads only the relations it
+keeps, and the BFS walks neighbour keys without reading any relation.
 """
 
 from __future__ import annotations
@@ -215,20 +214,21 @@ def _relations_joining(h: Hierarchy, sources: Iterable[str], targets: set[str]) 
     found: set[str] = set()
     for u in sources:
         row = neighbours[u]
-        found.update(row[v] for v in row.keys() & targets)
-    parallel = h.parallel_relations
-    if parallel:
-        for rid in [rid for rid in found if rid in parallel]:
-            found.update(parallel[rid])
+        for v in row.keys() & targets:
+            rid = row[v]
+            if type(rid) is tuple:  # the relations of a parallel pair
+                found.update(rid)
+            else:
+                found.add(rid)
     return found
 
 
-def _reach(neighbours: dict[str, dict[str, str]], nodes: Iterable[str]) -> set[str]:
+def _reach(neighbours: dict[str, dict], nodes: Iterable[str]) -> set[str]:
     """Every node one relation away from a node of nodes."""
     return set().union(*map(neighbours.__getitem__, nodes))
 
 
-def _bfs_layers(neighbours: dict[str, dict[str, str]], start: str, depth: int) -> list[set[str]]:
+def _bfs_layers(neighbours: dict[str, dict], start: str, depth: int) -> list[set[str]]:
     """Nodes by hop distance from start, up to depth: layers[k] holds those exactly k hops away."""
     layers = [{start}]
     seen = {start}
@@ -242,7 +242,7 @@ def _bfs_layers(neighbours: dict[str, dict[str, str]], start: str, depth: int) -
 
 
 def _shortest_path_layers(
-    neighbours: dict[str, dict[str, str]], ball_a: list[set[str]], ball_b: list[set[str]], max_hops: int
+    neighbours: dict[str, dict], ball_a: list[set[str]], ball_b: list[set[str]], max_hops: int
 ) -> list[set[str]] | None:
     """Nodes on the shortest a-b paths of length <= max_hops, by distance from a.
 

@@ -64,6 +64,7 @@ format is refused with a StoreError naming its version.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -71,9 +72,10 @@ import secrets
 import shutil
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -149,10 +151,12 @@ class IndexManifest:
 def ingest(path: str | Path) -> tuple[dict[str, Entity], dict[str, Relation], dict[str, Chunk], IngestReport]:
     """Load and validate a JSONL file of pre-extracted knowledge.
 
+    Each non-blank line of the UTF-8 file (open_input) is a JSON object:
+    ids, names, descriptions, sources, targets and texts are non-blank
+    strings, chunk_ids a non-empty list of strings, doc_id a string.
     Referential integrity is checked after the full file is read so the
     record order does not matter; every error names its source line.
     """
-    path = Path(path)
     entities: dict[str, Entity] = {}
     relations: dict[str, Relation] = {}
     chunks: dict[str, Chunk] = {}
@@ -160,7 +164,7 @@ def ingest(path: str | Path) -> tuple[dict[str, Entity], dict[str, Relation], di
     relation_keys: dict[tuple, str] = {}
     report = IngestReport()
 
-    with path.open("r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
@@ -169,20 +173,22 @@ def ingest(path: str | Path) -> tuple[dict[str, Entity], dict[str, Relation], di
                 record = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"malformed JSON: {exc.msg}", line=lineno)
+            if type(record) is not dict:
+                raise IngestError(f"record {raw:.60} is not a JSON object", line=lineno)
             kind = record.get("type")
             if kind == "entity":
                 eid = _require(record, "id", lineno)
                 if eid in entities:
                     raise IngestError(f"duplicate entity id {eid}", line=lineno)
-                chunk_ids = record.get("chunk_ids", [])
-                if not chunk_ids:
-                    raise IngestError(f"entity {eid} has no chunk_ids", line=lineno)
+                chunk_ids = record.get("chunk_ids")
+                if type(chunk_ids) is not list or not chunk_ids or not all(type(cid) is str for cid in chunk_ids):
+                    raise IngestError(f"entity {eid}: chunk_ids must be a non-empty list of chunk ids", line=lineno)
                 entities[eid] = Entity(
                     id=eid,
                     name=_require(record, "name", lineno),
                     description=_require(record, "description", lineno),
                     layer=0,
-                    source_chunk_ids=list(chunk_ids),
+                    source_chunk_ids=chunk_ids,
                 )
                 line_of[("entity", eid)] = lineno
             elif kind == "relation":
@@ -208,10 +214,13 @@ def ingest(path: str | Path) -> tuple[dict[str, Entity], dict[str, Relation], di
                 if cid in chunks:
                     raise IngestError(f"duplicate chunk id {cid}", line=lineno)
                 text = _require(record, "text", lineno)
+                doc_id = record.get("doc_id", "")
+                if type(doc_id) is not str:
+                    raise IngestError(f"chunk {cid}: doc_id must be a string", line=lineno)
                 chunks[cid] = Chunk(
                     id=cid,
                     text=text,
-                    doc_id=record.get("doc_id", ""),
+                    doc_id=doc_id,
                     token_count=count_tokens(text),
                 )
             else:
@@ -240,9 +249,32 @@ def ingest(path: str | Path) -> tuple[dict[str, Entity], dict[str, Relation], di
 
 def _require(record: dict, key: str, lineno: int) -> str:
     value = record.get(key)
-    if not isinstance(value, str) or not value:
-        raise IngestError(f"missing or empty field {key!r}", line=lineno)
+    if type(value) is not str or not value.strip():
+        raise IngestError(f"field {key!r} is missing, blank or not a string", line=lineno)
     return value
+
+
+@contextlib.contextmanager
+def open_input(path: str | Path) -> Iterator[TextIO]:
+    """path opened as UTF-8 text, for reading.
+
+    A file that cannot be read, such as a missing file or a directory, or
+    that is not UTF-8, raises IngestError (CLI exit 3); the latter names
+    the line of its first bad byte.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # no UTF-8 sequence holds a newline byte, so each line decodes alone
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise IngestError(f"{path} is not UTF-8: {exc.reason}", line=lineno) from None
+        raise
 
 
 def _text_shard(rows: Iterable[bytes]) -> tuple[bytes, np.ndarray]:

@@ -192,6 +192,22 @@ class TestBuild:
         assert code == EXIT_PROVIDER
         assert posts == ["http://test/embed"]
 
+    @pytest.mark.parametrize(
+        "line",
+        ['["entity", "e0"]', '{"type": "chunk", "id": "c-extra", "doc_id": 7, "text": "alpha beta"}'],
+        ids=["not-an-object", "doc-id-number"],
+    )
+    def test_bad_field_is_data_error_before_any_provider_call(self, tmp_path, ingest_file, capsys, provider_calls, line):
+        # a line that is not an object used to raise AttributeError (exit 1); a
+        # numeric doc_id built, and then every query ranking that chunk exited 3
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n" + ingest_file.read_text())
+        code = main(["build", "--input", str(path), "--out", str(tmp_path / "o"), "--cluster-size", "10"])
+        capsys.readouterr()
+        assert code == EXIT_DATA
+        assert provider_calls == []
+        assert not (tmp_path / "o").exists()
+
     def test_single_root_flag_is_gone(self, tmp_path, ingest_file, capsys):
         code = main(["build", "--input", str(ingest_file), "--out", str(tmp_path / "o"), "--single-root"])
         capsys.readouterr()
@@ -288,8 +304,11 @@ class TestQuery:
 class TestProviderConfigFile:
     @pytest.mark.parametrize(
         "text",
-        ["{not json", "[]", '{"embedding": ["mock"]}', '{"generation": null}'],
-        ids=["invalid-json", "list", "embedding-list", "generation-null"],
+        [
+            "{not json", "[]", '{"embedding": ["mock"]}', '{"generation": null}',
+            '{"embedding": {"dim": "64"}}', '{"embedding": {"provider": "mock", "dimension": 64}}',
+        ],
+        ids=["invalid-json", "list", "embedding-list", "generation-null", "dim-string", "misspelt-key"],
     )
     @pytest.mark.parametrize("command", ["build", "query", "bench"])
     def test_malformed_config_is_usage_error(self, built_index, ingest_file, tmp_path, capsys, text, command):
@@ -305,6 +324,41 @@ class TestProviderConfigFile:
         code = main(argv + ["--providers", str(config)])
         assert capsys.readouterr().out == ""
         assert code == EXIT_USAGE
+
+
+def unreadable(tmp_path, kind):
+    """A path that is not a readable UTF-8 file: a directory, or Latin-1 text."""
+    if kind == "directory":
+        path = tmp_path / "a-directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin-1.txt"
+        path.write_bytes("{}\ncaf\u00e9\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["build --input", "bench --queries", "build --providers", "query --providers", "bench --providers"])
+def test_unreadable_input_file_is_one_data_error_line(built_index, ingest_file, tmp_path, capsys, caplog, kind, command):
+    # each used to exit 1 with an IsADirectoryError or UnicodeDecodeError traceback
+    queries = tmp_path / "queries.txt"
+    queries.write_text("glacier summit\n")
+    files = {"--input": ingest_file, "--queries": queries, "--providers": None}
+    name, flag = command.split()
+    files[flag] = unreadable(tmp_path, kind)
+    argv = {
+        "build": ["build", "--input", files["--input"], "--out", tmp_path / "o"],
+        "query": ["query", "--index", built_index, "--query", "glacier summit"],
+        "bench": ["bench", "--index", built_index, "--queries", files["--queries"]],
+    }[name]
+    if files["--providers"] is not None:
+        argv += ["--providers", files["--providers"]]
+    code = main([str(arg) for arg in argv])
+    assert capsys.readouterr().out == ""
+    assert code == EXIT_DATA
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(files[flag]) in errors[0], errors
+    assert not (tmp_path / "o").exists()
 
 
 class TestBench:

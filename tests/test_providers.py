@@ -349,6 +349,39 @@ def test_http_config_rejects_unknown_keys_and_empty_endpoint(config):
             make(config)
 
 
+@pytest.mark.parametrize(
+    "make, config",
+    [
+        (make_embedding_provider, {"provider": "http", "endpoint": "http://test/api", "max_retries": "2"}),
+        (make_generation_provider, {"provider": "http", "endpoint": "http://test/api", "timeout_seconds": "5"}),
+        (make_embedding_provider, {"provider": "http", "endpoint": "http://test/api", "token_budget": True}),
+        (make_embedding_provider, {"provider": "http", "endpoint": 7}),
+        (make_embedding_provider, {"provider": "mock", "dim": "64"}),
+        (make_embedding_provider, {"dim": 64.0}),
+        (make_generation_provider, {"provider": "mock", "description_budget": True}),
+        (make_embedding_provider, {"provider": "mock", "dimension": 64}),
+        (make_embedding_provider, {"provider": "mock", "description_budget": 10}),
+        (make_generation_provider, {"provider": "mock", "description_budget": -1}),
+        (make_generation_provider, {"provider": "mock", "description_budget": 0}),
+        (make_generation_provider, {"provider": "mock", "description_budget": "10"}),
+        (make_generation_provider, {"provider": "mock", "dim": 64}),
+    ],
+)
+def test_provider_block_keys_and_types(make, config):
+    # a string where an int belongs used to raise TypeError, a misspelt mock
+    # key was ignored, and description_budget -1 dropped each description's last word
+    with pytest.raises(InvalidArgumentError):
+        make(config)
+
+
+def test_mock_blocks_read_their_keys():
+    assert make_embedding_provider({"provider": "mock", "dim": 64}).dim == 64
+    assert make_embedding_provider({}).dim == MOCK_EMBEDDING_DIM
+    assert make_generation_provider({"description_budget": 3}).description_budget == 3
+    config = {"provider": "http", "endpoint": "http://test/api", "timeout_seconds": 5}  # an int for a float
+    assert make_embedding_provider(config).config.timeout_seconds == 5
+
+
 def test_http_config_reads_every_documented_key():
     config = {
         "provider": "http", "endpoint": "http://test/api", "model": "m", "max_retries": 0,

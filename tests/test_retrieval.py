@@ -476,35 +476,44 @@ def scan_relations_by_entity(h):
     return touching
 
 
+def pair_relations(value):
+    """The relation ids of a neighbour-row value: one id, or a tuple of a parallel pair's ids."""
+    return list(value) if type(value) is tuple else [value]
+
+
 def assert_neighbour_map_matches_scan(h):
+    """Rows are symmetric, a tuple only for a pair joined more than once and
+    in relation row order, and each row's values list every relation touching
+    that entity exactly once."""
     touching = scan_relations_by_entity(h)
+    row_of = {rid: j for j, rid in enumerate(h.structure.relation_ids)}
     assert h.neighbours.keys() == h.entities.keys()
     for eid, row in h.neighbours.items():
-        listed = set()
-        for v, first in row.items():
-            pair = [first, *h.parallel_relations.get(first, ())]
-            for rid in pair:
+        listed = []
+        for v, value in row.items():
+            assert h.neighbours[v][eid] == value
+            rids = pair_relations(value)
+            assert type(value) is str or (len(rids) > 1 and rids == sorted(rids, key=row_of.__getitem__)), value
+            for rid in rids:
                 r = h.relations[rid]
                 assert {r.source_id, r.target_id} == {eid, v}, (eid, v, rid)
-            assert h.neighbours[v][eid] == first
-            listed.update(pair)
-        assert listed == touching[eid], eid
-    # each relation is a pair's first id or one of its parallels, exactly once
-    firsts = [first for eid, row in h.neighbours.items() for v, first in row.items() if eid <= v]
-    parallels = [rid for rids in h.parallel_relations.values() for rid in rids]
-    assert h.parallel_relations.keys() <= set(firsts)
-    assert sorted(firsts + parallels) == sorted(h.relations)
+            listed += rids
+        assert sorted(listed) == sorted(touching[eid]), eid
+
+
+def has_parallel_pair(h):
+    return any(type(value) is tuple for row in h.neighbours.values() for value in row.values())
 
 
 class TestNeighbourMap:
-    """Hierarchy.neighbours with parallel_relations lists exactly the relations
-    that a scan of h.relations finds for each entity."""
+    """Hierarchy.neighbours lists exactly the relations that a scan of
+    h.relations finds for each entity, parallel ones included."""
 
     def test_random_hierarchies(self, embed_provider):
         rng = random.Random(26)
         for _ in range(12):
             h, _ = hierarchy_with_relations(rng, rng.choice([15, 40, 80]), rng.choice([1.5, 3.0, 6.0]), embed_provider)
-            assert h.parallel_relations, "hierarchy_with_relations adds parallel relations"
+            assert has_parallel_pair(h), "hierarchy_with_relations adds parallel relations"
             assert_neighbour_map_matches_scan(h)
 
     def test_loaded_index(self, tmp_path, embed_provider, gen_provider):

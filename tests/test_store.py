@@ -146,6 +146,40 @@ class TestIngest:
         entities, relations, chunks, _ = ingest(path)
         assert len(entities) == 2 and len(relations) == 1 and len(chunks) == 1
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["entity", "e9"]', "not a JSON object"),
+            ('"entity"', "not a JSON object"),
+            ({"type": "entity", "id": "e9", "name": "X", "description": "d", "chunk_ids": "c0"}, "chunk_ids"),
+            ({"type": "entity", "id": "e9", "name": "X", "description": "d", "chunk_ids": [["c0"]]}, "chunk_ids"),
+            ({"type": "chunk", "id": "c9", "doc_id": 7, "text": "alpha"}, "doc_id"),
+            ({"type": "entity", "id": "e9", "name": "X", "description": "  ", "chunk_ids": ["c0"]}, "description"),
+            ({"type": "relation", "id": 9, "source": "e0", "target": "e1", "description": "x"}, "'id'"),
+        ],
+        ids=["list", "string", "chunk-ids-string", "chunk-ids-nested", "doc-id-number", "blank-description", "id-number"],
+    )
+    def test_field_of_wrong_type_names_line(self, tmp_path, line, message):
+        # each used to raise AttributeError or TypeError, to split chunk_ids into
+        # characters, or to be accepted and fail a later build or query
+        path = tmp_path / "in.jsonl"
+        write_lines(path, GOOD_LINES[:2] + [line if isinstance(line, str) else json.dumps(line)] + GOOD_LINES[2:])
+        with pytest.raises(IngestError) as exc:
+            ingest(path)
+        assert "line 3" in str(exc.value) and message in str(exc.value)
+
+    def test_file_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes("\n".join(GOOD_LINES[:2] + ['{"type": "chunk", "id": "c1", "text": "caf\u00e9"}']).encode("latin-1"))
+        with pytest.raises(IngestError) as exc:
+            ingest(path)
+        assert "line 3" in str(exc.value) and "UTF-8" in str(exc.value)
+
+    def test_directory_is_an_ingest_error(self, tmp_path):
+        with pytest.raises(IngestError) as exc:
+            ingest(tmp_path)
+        assert str(tmp_path) in str(exc.value)
+
     def test_large_file_counts_match_generator(self, tmp_path):
         rng = random.Random(0)
         entities, relations, chunks = make_layer0(rng, 2000, avg_degree=4, n_chunks=300)
