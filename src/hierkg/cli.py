@@ -54,6 +54,15 @@ def _load_provider_config(path: str | None) -> dict:
     return config
 
 
+def _make_providers(config: dict) -> tuple[object, object]:
+    """The embedding and the generation provider of a provider config.
+
+    Making a provider sends no request, so query and bench check the
+    generation block as build does, though they never generate.
+    """
+    return make_embedding_provider(config["embedding"]), make_generation_provider(config["generation"])
+
+
 def _redacted(config: dict) -> dict:
     def scrub(value):
         if isinstance(value, dict):
@@ -74,8 +83,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     store.check_out_dir(args.out)
     providers_cfg = _load_provider_config(args.providers)
     logger.info("resolved config: %s", json.dumps(_redacted(providers_cfg), sort_keys=True))
-    embed = make_embedding_provider(providers_cfg["embedding"])
-    gen = make_generation_provider(providers_cfg["generation"])
+    embed, gen = _make_providers(providers_cfg)
     params = BuildParams(
         cluster_size=args.cluster_size,
         tau=args.tau,
@@ -132,8 +140,7 @@ def _make_bundles(h, embeddings, chunks, embed, query: str, args) -> tuple[conte
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    providers_cfg = _load_provider_config(args.providers)
-    embed = make_embedding_provider(providers_cfg["embedding"])
+    embed, _ = _make_providers(_load_provider_config(args.providers))
     h, embeddings, chunks, _manifest = store.load_index(args.index)
 
     seeds, sub = retrieval.retrieve(h, embeddings, args.query, args.top_n, embed)
@@ -155,8 +162,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    providers_cfg = _load_provider_config(args.providers)
-    embed = make_embedding_provider(providers_cfg["embedding"])
+    embed, _ = _make_providers(_load_provider_config(args.providers))
     h, embeddings, chunks, _manifest = store.load_index(args.index)
 
     with store.open_input(args.queries) as fh:

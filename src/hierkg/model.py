@@ -10,18 +10,21 @@ and kind codes: the arrays an index stores); its violations() states
 each structural rule once, for validate_hierarchy, save_index and
 load_index alike, and every query view is made from it. A loaded
 index's entities, relations and chunks are LazyRows maps, which make
-each row on its first read, and its layers' id sets are IdRange views of
-the id lists.
+each row on its first read, its layers' id sets are IdRange views of
+the id lists, and its parent_map is a ParentMap view of the parent rows.
+A relation's row is found by binary search in its layer's sorted ids
+(SortedRunRows), so a load builds no map over the relations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -106,8 +109,9 @@ class GraphLayer:
 class IdRange(AbstractSet[str]):
     """A read-only set view of ids[start:stop], which iterates in list order.
 
-    rows maps every id of ids to its index, so membership is one dict
-    lookup; the view copies nothing. Set operations return plain sets.
+    rows maps every id of ids to its index (a dict, or a SortedRunRows),
+    so membership is one lookup in rows; the view copies nothing. Set
+    operations return plain sets.
     """
 
     __slots__ = ("_ids", "_rows", "_start", "_stop")
@@ -127,6 +131,73 @@ class IdRange(AbstractSet[str]):
 
     def __len__(self) -> int:
         return self._stop - self._start
+
+
+class SortedRunRows(Mapping[str, int]):
+    """A read-only id -> row map over ids whose runs ids[starts[k]:starts[k + 1]]
+    are each in sorted order, with no id repeated.
+
+    A lookup is one binary search per run and the map builds nothing: a
+    load's relation ids are sorted within each layer, and a cold query
+    looks up a few of them. A key that is not a string is never found.
+    """
+
+    __slots__ = ("_ids", "_starts")
+
+    def __init__(self, ids: Sequence[str], starts: Sequence[int]):
+        self._ids, self._starts = ids, starts
+
+    def __getitem__(self, key: str) -> int:
+        if type(key) is str:
+            ids = self._ids
+            for a, b in pairwise(self._starts):
+                i = bisect_left(ids, key, a, b)
+                if i < b and ids[i] == key:
+                    return i
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __reversed__(self) -> Iterator[str]:
+        return reversed(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
+class ParentMap(Mapping[str, str]):
+    """A read-only child id -> parent id view of a Structure's parent rows.
+
+    Its keys are the entities below the top layer, in row order; a
+    lookup reads one parent row, and the view builds nothing. A key that
+    is not a string is never found. A copy (copy.copy, copy.deepcopy,
+    pickle) is a plain dict.
+    """
+
+    __slots__ = ("_ids", "_rows", "_parents", "_n")
+
+    def __init__(self, structure: Structure):
+        self._ids, self._rows, self._parents = structure.entity_ids, structure.entity_rows, structure.parents
+        self._n = len(self._ids) - structure.entity_counts[-1]
+
+    def __getitem__(self, key: str) -> str:
+        i = self._rows.get(key, self._n) if type(key) is str else self._n
+        if i >= self._n:
+            raise KeyError(key)
+        return self._ids[self._parents[i]]
+
+    def __contains__(self, key: object) -> bool:
+        return type(key) is str and self._rows.get(key, self._n) < self._n
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(self._ids, self._n)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __reduce__(self):
+        return dict, (dict(self.items()),)
 
 
 @dataclass
@@ -183,6 +254,9 @@ class Hierarchy:
     index is k; it lists exactly the entities and relations whose layer
     field is k, and layer 0 is never empty. parent_map (child id -> parent
     id) is the only record of parent links; top-layer entities have no entry.
+    A build fills a dict; load_index sets a read-only ParentMap view of
+    structure.parents, so a loaded hierarchy's links cannot be changed in
+    place (a copy.deepcopy of it holds plain dicts that can).
 
     structure, and layer0_ids and neighbours made from it, are query-time
     views computed on first access and then frozen, and entity_lines and
@@ -199,7 +273,7 @@ class Hierarchy:
     entities: dict[str, Entity] = field(default_factory=dict)
     relations: dict[str, Relation] = field(default_factory=dict)
     layers: list[GraphLayer] = field(default_factory=list)
-    parent_map: dict[str, str] = field(default_factory=dict)
+    parent_map: dict[str, str] | ParentMap = field(default_factory=dict)
     build_params: BuildParams | None = None
 
     @cached_property
@@ -264,7 +338,7 @@ class LazyRows(dict):
 
     __slots__ = ("_rows", "_make")
 
-    def __init__(self, rows: dict[str, int], make: Callable[[int], object]):
+    def __init__(self, rows: Mapping[str, int], make: Callable[[int], object]):
         super().__init__()
         self._rows = rows
         self._make = make

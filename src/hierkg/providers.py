@@ -54,6 +54,13 @@ class ProviderConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise InvalidArgumentError("max_retries must be >= 0")
+        if self.token_budget < 1:
+            raise InvalidArgumentError("token_budget must be >= 1")
+        # a NaN, which json.loads reads from the literal NaN, fails these too
+        if not self.backoff_seconds >= 0:
+            raise InvalidArgumentError("backoff_seconds must be >= 0")
+        if not self.timeout_seconds > 0:
+            raise InvalidArgumentError("timeout_seconds must be > 0")
 
 
 @dataclass

@@ -46,19 +46,22 @@ A load reads each shard once and verifies the content hash before
 anything else. It then checks the format with whole-array checks:
 manifest layer indices exactly 0..k-1 for some k >= 1, layer sizes
 that sum to the id counts, ids that are strings and do not repeat,
-entity ids sorted within each layer, offsets that do not decrease from 0
-to their shard's length, an empty relation text row exactly for each
-concatenated relation and an embedding shard of exactly
+entity and relation ids sorted within each layer, offsets that do not
+decrease from 0 to their shard's length, an empty relation text row
+exactly for each concatenated relation and an embedding shard of exactly
 n * embedding_dim * 8 bytes. The links must pass Structure.violations,
 the structural rules validate_hierarchy reports and save_index enforces.
 Any failure raises StoreError (CLI exit 3).
 The embedding table is a read-only view of the bytes read, and so are
-the arrays of Hierarchy.structure. parent_map is a plain dict and each
-layer's id sets are IdRange views of the id lists;
-entities, relations and chunks are LazyRows maps that make a row on its
-first read. A row that is malformed, a relation row that is not UTF-8 and
-a concatenated relation with no evidence raise StoreError at that read,
-so a query fails with exit 3 when it reaches one. An index of an earlier
+the arrays of Hierarchy.structure. A load builds an id -> row dict only
+for the entities and the chunks: a relation's row is found by binary
+search in its layer's sorted ids (SortedRunRows), and parent_map is a
+read-only ParentMap view of the parent rows. Each layer's id sets are
+IdRange views of the id lists; entities, relations and chunks are
+LazyRows maps that make a row on its first read. A row that is
+malformed, a relation row that is not UTF-8 and a concatenated relation
+with no evidence raise StoreError at that read, so a query fails with
+exit 3 when it reaches one. An index of an earlier
 format is refused with a StoreError naming its version.
 """
 
@@ -68,6 +71,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import operator
 import secrets
 import shutil
 from bisect import bisect_right
@@ -89,9 +93,11 @@ from .model import (
     Hierarchy,
     IdRange,
     LazyRows,
+    ParentMap,
     RELATION_KINDS,
     Relation,
     RelationKind,
+    SortedRunRows,
     Structure,
 )
 from .providers import count_tokens
@@ -301,6 +307,11 @@ def _structure_layout(n_entities: int, n_relations: int, n_chunks: int) -> list[
     ]
 
 
+def _pair_key(a, b, n: int):
+    """One int64 key per unordered pair of entity rows (a, b), for n entity rows."""
+    return np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+
+
 class _Evidence:
     """The relations a concatenated relation is made from.
 
@@ -316,16 +327,13 @@ class _Evidence:
         up_s, up_t = parents[structure.sources], parents[structure.targets]
         # a relation within one cluster, or on the top layer, is no pair's evidence
         rows = np.flatnonzero((up_s != up_t) & (up_s >= 0) & (up_t >= 0))
-        keys = self._key(up_s[rows], up_t[rows])
+        keys = _pair_key(up_s[rows], up_t[rows], self._n)
         order = np.argsort(keys)
         self._rows, self._keys = rows[order], keys[order]
 
-    def _key(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.minimum(a, b).astype(np.int64) * self._n + np.maximum(a, b)
-
     def rows(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
         """For each pair (a[i], b[i]) of aggregate rows, the rows of its evidence in row order."""
-        keys = self._key(a, b)
+        keys = _pair_key(a, b, self._n)
         lo, hi = np.searchsorted(self._keys, keys, "left"), np.searchsorted(self._keys, keys, "right")
         return [np.sort(self._rows[i:j]) for i, j in zip(lo.tolist(), hi.tolist())]
 
@@ -342,13 +350,17 @@ def _content_hash(names: Iterable[str], data_of: Callable[[str], bytes]) -> str:
 
 def check_out_dir(directory: str | Path) -> None:
     """Raise InvalidArgumentError unless directory is missing, an empty
-    directory or an index (it holds manifest.json).
+    directory or an index (it holds manifest.json). A missing directory
+    must sit under a directory: its nearest existing ancestor must be one.
 
     save_index replaces the whole directory, so it refuses one that holds
     anything else rather than delete files it did not write.
     """
     directory = Path(directory)
     if not directory.exists():
+        ancestor = next(path for path in directory.absolute().parents if path.exists())
+        if not ancestor.is_dir():
+            raise InvalidArgumentError(f"{directory} cannot be made: {ancestor} is not a directory")
         return
     if directory.is_dir() and ((directory / "manifest.json").is_file() or next(directory.iterdir(), None) is None):
         return
@@ -522,7 +534,6 @@ def load_index(
 
     entity_starts = list(itertools.accumulate(entity_counts, initial=0))
     relation_starts = list(itertools.accumulate(relation_counts, initial=0))
-    parents = arrays["parents"][: entity_starts[-2]].tolist()  # every row below the top layer
     h = Hierarchy(
         entities=LazyRows(entity_rows, _entity_reader(shards["entities.jsonl"], arrays["entity_offsets"], entity_ids, entity_starts)),
         relations=LazyRows(relation_rows, _RelationReader(shards["relations.txt"], arrays["relation_offsets"], structure, relation_starts)),
@@ -530,7 +541,7 @@ def load_index(
             GraphLayer(k, IdRange(entity_ids, entity_rows, a, b), IdRange(relation_ids, relation_rows, c, d))
             for k, (a, b, c, d) in enumerate(zip(entity_starts, entity_starts[1:], relation_starts, relation_starts[1:]))
         ],
-        parent_map=dict(zip(entity_ids, [entity_ids[p] for p in parents])),
+        parent_map=ParentMap(structure),
         build_params=build_params,
     )
     h.structure = structure
@@ -564,10 +575,11 @@ def _read_manifest(directory: Path) -> tuple[IndexManifest, BuildParams | None]:
 
 def _read_ids(
     data: bytes, entity_counts: list[int], relation_counts: list[int]
-) -> tuple[dict[str, list[str]], dict[str, dict[str, int]]]:
+) -> tuple[dict[str, list[str]], dict[str, Mapping[str, int]]]:
     """The entity, relation and chunk ids of ids.json and their row numbers,
     keyed by "entities", "relations" and "chunks", checked against the
-    manifest's layer sizes."""
+    manifest's layer sizes. The entity and chunk rows are dicts; a
+    relation's row is found by binary search in its layer (SortedRunRows)."""
     try:
         doc = json.loads(data)
         ids = {key: doc[key] for key in ("entities", "relations", "chunks")}
@@ -579,15 +591,36 @@ def _read_ids(
     for kind, counts in (("entities", entity_counts), ("relations", relation_counts)):
         if len(ids[kind]) != sum(counts):
             raise StoreError(f"ids.json: {len(ids[kind])} {kind}, the manifest's layer sizes sum to {sum(counts)}")
-    rows = {}
-    for key, key_ids in ids.items():
-        rows[key] = dict(zip(key_ids, range(len(key_ids))))
-        if len(rows[key]) != len(key_ids):
-            raise StoreError(f"ids.json: id {_repeated(key_ids)!r} appears twice in {key}")
+    rows: dict[str, Mapping[str, int]] = {}
+    for key in ("entities", "chunks"):
+        rows[key] = dict(zip(ids[key], range(len(ids[key]))))
+        if len(rows[key]) != len(ids[key]):
+            raise StoreError(f"ids.json: id {_repeated(ids[key])!r} appears twice in {key}")
+    relation_starts = list(itertools.accumulate(relation_counts, initial=0))
+    _check_relation_ids(ids["relations"], relation_starts)
+    rows["relations"] = SortedRunRows(ids["relations"], relation_starts)
     for k, (a, b) in enumerate(itertools.pairwise(itertools.accumulate(entity_counts, initial=0))):
         if ids["entities"][a:b] != sorted(ids["entities"][a:b]):
             raise StoreError(f"ids.json: the layer-{k} entity ids are not in sorted order")
     return ids, rows
+
+
+def _check_relation_ids(ids: list[str], starts: list[int]) -> None:
+    """Raise StoreError unless each layer's run ids[starts[k]:starts[k + 1]]
+    is strictly increasing and no id is on two layers."""
+    runs = [ids[a:b] for a, b in itertools.pairwise(starts)]
+    unsorted = [k for k, run in enumerate(runs) if any(map(operator.ge, run, itertools.islice(run, 1, None)))]
+    # runs whose first-to-last spans are disjoint share no id; if two spans
+    # overlap, a merge of the sorted runs puts a shared id next to itself
+    spans = sorted((run[0], run[-1]) for run in runs if run)
+    shared = False
+    if not unsorted and any(b[0] <= a[1] for a, b in itertools.pairwise(spans)):
+        merged = sorted(ids)
+        shared = any(map(operator.eq, merged, itertools.islice(merged, 1, None)))
+    if unsorted or shared:
+        if len(set(ids)) != len(ids):
+            raise StoreError(f"ids.json: id {_repeated(ids)!r} appears twice in relations")
+        raise StoreError(f"ids.json: the layer-{unsorted[0]} relation ids are not in sorted order")
 
 
 def _read_structure(data: bytes, n_entities: int, n_relations: int, n_chunks: int) -> dict[str, np.ndarray]:
@@ -647,12 +680,14 @@ class _RelationReader:
 
     A concatenated relation's description is the "; "-join of its
     evidence's descriptions, read from the shard (recursing through lower
-    concatenated rows) without making a Relation for them.
+    concatenated rows) without making a Relation for them. The evidence
+    of one pair is found by a mask over the parent-pair keys of the layer
+    below, made for that layer on its first use.
     """
 
     def __init__(self, text: bytes, offsets: np.ndarray, structure: Structure, starts: list[int]):
         self._text, self._offsets, self._structure, self._starts = text, offsets, structure, starts
-        self._evidence: _Evidence | None = None  # built on the first concatenated read
+        self._pair_keys: dict[int, np.ndarray] = {}  # layer -> the parent-pair key of each of its relations
 
     def __call__(self, j: int) -> Relation:
         s = self._structure
@@ -672,9 +707,12 @@ class _RelationReader:
                 return self._text[self._offsets[j] : self._offsets[j + 1]].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise StoreError(f"relations.txt: row {j} is not UTF-8: {exc}") from None
-        if self._evidence is None:
-            self._evidence = _Evidence(s)
-        (rows,) = self._evidence.rows(s.sources[j : j + 1], s.targets[j : j + 1])
+        below = bisect_right(self._starts, j) - 2  # a concatenated relation is never on layer 0
+        if below not in self._pair_keys:
+            a, b = self._starts[below], self._starts[below + 1]
+            self._pair_keys[below] = _pair_key(s.parents[s.sources[a:b]], s.parents[s.targets[a:b]], len(s.parents))
+        key = _pair_key(s.sources[j], s.targets[j], len(s.parents))
+        rows = np.flatnonzero(self._pair_keys[below] == key) + self._starts[below]
         if not len(rows):
             raise StoreError(
                 f"structure.bin: concatenated relation {s.relation_ids[j]!r} joins two aggregates "

@@ -151,26 +151,29 @@ class TestBuild:
             assert provider_calls == []
             assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("out", ["stray-file", "regular-file", "empty-dir", "old-index"])
+    @pytest.mark.parametrize("out", ["stray-file", "regular-file", "under-regular-file", "empty-dir", "old-index"])
     def test_out_must_be_missing_empty_or_an_index(self, tmp_path, ingest_file, built_index, capsys, provider_calls, out):
-        # a rebuild used to leave the shards of layers the new index lacks
+        # a rebuild used to leave the shards of layers the new index lacks; an
+        # --out under a regular file used to build, then exit 1 with FileExistsError
         target = tmp_path / out
+        mine = {"stray-file": target / "notes.txt", "regular-file": target, "under-regular-file": target}.get(out)
         if out == "stray-file":
             target.mkdir()
-            (target / "notes.txt").write_text("mine")
-        elif out == "regular-file":
-            target.write_text("mine")
+        elif out == "under-regular-file":
+            target = target / "index"
         elif out == "empty-dir":
             target.mkdir()
-        else:
+        elif out == "old-index":
             target = built_index
             (target / "entities_3.jsonl").write_text("{}")  # a shard an older build left behind
+        if mine is not None:
+            mine.write_text("mine")
         code = main(["build", "--input", str(ingest_file), "--out", str(target), "--cluster-size", "10", "--seed", "1"])
         capsys.readouterr()
-        if out in ("stray-file", "regular-file"):
+        if mine is not None:
             assert code == EXIT_USAGE
             assert provider_calls == []
-            assert (target / "notes.txt" if out == "stray-file" else target).read_text() == "mine"
+            assert mine.read_text() == "mine"
         else:
             assert code == EXIT_OK
             assert "entities_3.jsonl" not in {p.name for p in target.iterdir()}
@@ -307,8 +310,9 @@ class TestProviderConfigFile:
         [
             "{not json", "[]", '{"embedding": ["mock"]}', '{"generation": null}',
             '{"embedding": {"dim": "64"}}', '{"embedding": {"provider": "mock", "dimension": 64}}',
+            '{"generation": {"budget": 10}}',
         ],
-        ids=["invalid-json", "list", "embedding-list", "generation-null", "dim-string", "misspelt-key"],
+        ids=["invalid-json", "list", "embedding-list", "generation-null", "dim-string", "misspelt-key", "generation-misspelt-key"],
     )
     @pytest.mark.parametrize("command", ["build", "query", "bench"])
     def test_malformed_config_is_usage_error(self, built_index, ingest_file, tmp_path, capsys, text, command):

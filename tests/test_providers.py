@@ -401,3 +401,38 @@ def test_readme_provider_config_is_accepted():
     config = json.loads(block)
     assert isinstance(make_embedding_provider(config["embedding"]), HttpEmbeddingProvider)
     assert isinstance(make_generation_provider(config["generation"]), HttpGenerationProvider)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("token_budget", 0), ("token_budget", -1), ("backoff_seconds", -1.0), ("backoff_seconds", float("nan")),
+        ("timeout_seconds", 0), ("timeout_seconds", -5.0), ("timeout_seconds", float("nan")),
+    ],
+)
+def test_http_settings_out_of_range_are_usage_errors(monkeypatch, key, value):
+    # token_budget -1 made truncate_tokens drop the last word of every text and
+    # prompt sent, and backoff_seconds -1.0 made the first retry's sleep raise ValueError
+    posts = []
+    monkeypatch.setattr("hierkg.providers._default_post", lambda *args: posts.append(args))
+    for make in (make_embedding_provider, make_generation_provider):
+        with pytest.raises(InvalidArgumentError, match=key):
+            make({"provider": "http", "endpoint": "http://test/api", key: value})
+    with pytest.raises(InvalidArgumentError, match=key):
+        HttpEmbeddingProvider(ProviderConfig(endpoint="http://test/api", **{key: value}), post=posts.append, sleep=posts.append)
+    assert posts == []
+
+
+def test_http_settings_at_their_bounds_are_used():
+    sent, sleeps = [], []
+
+    def post(url, payload, timeout):
+        sent.append((payload["texts"], timeout))
+        if len(sent) == 1:
+            raise requests.ConnectionError("reset")
+        return {"vectors": [[3.0, 4.0]]}
+
+    config = ProviderConfig(endpoint="http://test/api", max_retries=1, backoff_seconds=0, timeout_seconds=0.5, token_budget=1)
+    vec = HttpEmbeddingProvider(config, post=post, sleep=sleeps.append).embed_batch(["hello world"])[0]
+    assert np.allclose(vec, [0.6, 0.8])
+    assert sent == [(["hello"], 0.5)] * 2 and sleeps == [0]

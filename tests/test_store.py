@@ -1,4 +1,5 @@
 import builtins
+import copy
 import hashlib
 import io
 import json
@@ -36,7 +37,7 @@ from hierkg import store
 from hierkg.aggregation import build_hierarchy
 from hierkg.providers import MockEmbeddingProvider, MockGenerationProvider
 
-from helpers import make_layer0, write_ingest_jsonl
+from helpers import description, make_layer0, make_random_hierarchy, write_ingest_jsonl
 from test_model import (
     childless_aggregate,
     endpoint_on_other_layer,
@@ -639,6 +640,19 @@ def one_aggregate_adopts_layer_0(ids, arrays):
     arrays["parents"][:first] = first
 
 
+def swap_first_relation_ids(ids, arrays):
+    """The first two layer-0 relation ids change places: the layer's ids are out of sorted order."""
+    relations, j = ids["relations"], first_row_of_layer(ids, "relations", 0)
+    relations[j], relations[j + 1] = relations[j + 1], relations[j]
+
+
+def relation_id_on_two_layers_in_order(ids, arrays):
+    """The last layer-1 relation takes the last layer-0 relation's id; both layers stay in sorted order."""
+    relations = ids["relations"]
+    last = max(i for i, x in enumerate(relations) if x.startswith("agg:1:"))
+    relations[last] = relations[first_row_of_layer(ids, "relations", 1) - 1]
+
+
 def set_array(name, kind, layer, value):
     def edit(ids, arrays):
         arrays[name][first_row_of_layer(ids, kind, layer)] = value(ids, arrays) if callable(value) else value
@@ -693,6 +707,8 @@ class TestLoadFailsClosed:
             ("structure.bin", edit_structure(relation_to_itself), "load"),
             ("structure.bin", set_array("kinds", "relations", 1, list(RelationKind).index(RelationKind.BASE)), "load"),
             ("structure.bin", edit_structure(one_aggregate_adopts_layer_0), "load"),
+            ("ids.json", edit_structure(swap_first_relation_ids), "load"),
+            ("ids.json", edit_structure(relation_id_on_two_layers_in_order), "load"),
         ],
         ids=[
             "entity-row-not-object",
@@ -720,6 +736,8 @@ class TestLoadFailsClosed:
             "relation-self-loop",
             "base-kind-above-layer-0",
             "aggregate-without-children",
+            "relation-ids-unsorted",
+            "relation-id-on-two-layers-in-order",
         ],
     )
     def test_malformed_row(self, tmp_path, caplog, shard, edit, when):
@@ -897,6 +915,83 @@ def test_round_trip_keeps_line_separators_and_non_ascii(tmp_path):
     assert [(l.entity_ids, l.relation_ids) for l in h2.layers] == [(l.entity_ids, l.relation_ids) for l in h.layers]
     assert chunks2 == chunks
     assert {k: v.tobytes() for k, v in emb2.items()} == {k: v.tobytes() for k, v in embeddings.items()}
+
+
+def with_stored_relations(h: Hierarchy, rng: random.Random) -> Hierarchy:
+    """Give a random hierarchy relations that save_index can store: base
+    relations on layer 0, some of them parallel, and on each layer above,
+    for some pairs of aggregates whose children a relation joins, an
+    aggregated relation or a concatenated one whose description is the
+    join of that evidence in row order. Ids come from one shuffled pool,
+    so the layers' id ranges interleave."""
+    pool = iter(rng.sample(range(10**5), 10**4))
+    leaves = sorted(h.layers[0].entity_ids)
+
+    def add(layer: int, a: str, b: str, text: str, kind: RelationKind) -> None:
+        rid = f"r{next(pool):05d}"
+        h.relations[rid] = Relation(rid, a, b, text, layer, kind)
+        h.layers[layer].relation_ids.add(rid)
+
+    for _ in range(2 * len(leaves)):
+        a, b = rng.sample(leaves, 2)
+        add(0, a, b, description(rng, length=4), RelationKind.BASE)
+        if rng.random() < 0.2:  # a parallel relation
+            add(0, b, a, description(rng, length=4) + " again", RelationKind.BASE)
+    for layer in h.layers[1:]:
+        evidence: dict[frozenset, list[str]] = {}
+        for rid in sorted(h.layers[layer.index - 1].relation_ids):
+            r = h.relations[rid]
+            pair = frozenset((h.parent_map[r.source_id], h.parent_map[r.target_id]))
+            if len(pair) == 2:
+                evidence.setdefault(pair, []).append(r.description)
+        for pair, texts in sorted(evidence.items(), key=lambda item: sorted(item[0])):
+            a, b = rng.sample(sorted(pair), 2)
+            choice = rng.randrange(3)
+            if choice == 1:
+                add(layer.index, a, b, description(rng, length=5), RelationKind.INTER_CLUSTER_AGGREGATED)
+            elif choice == 2:
+                add(layer.index, a, b, "; ".join(texts), RelationKind.INTER_CLUSTER_CONCATENATED)
+    return h
+
+
+def test_load_finds_every_relation_and_parent_by_row(tmp_path):
+    # a load builds no relation id -> row map: each relation is found by
+    # binary search in its layer's sorted ids, and parent_map reads the parent rows
+    kinds = Counter()
+    for seed in range(12):
+        rng = random.Random(seed)
+        h = with_stored_relations(make_random_hierarchy(rng, rng.randint(5, 60)), rng)
+        assert validate_hierarchy(h) == []
+        vectors = np.random.default_rng(seed).standard_normal((len(h.entities), 4))
+        save_index(h, dict(zip(h.entities, vectors)), {"c0": Chunk("c0", "text", "d0", 1)}, tmp_path / f"idx{seed}")
+        h2 = load_index(tmp_path / f"idx{seed}")[0]
+
+        for rid, r in h.relations.items():
+            assert h2.relations[rid] == r
+            assert [rid in layer.relation_ids for layer in h2.layers] == [k == r.layer for k in range(len(h.layers))]
+            kinds[r.kind] += 1
+        assert list(h2.relations) == [rid for layer in h.layers for rid in sorted(layer.relation_ids)]
+        assert dict(h2.parent_map) == h.parent_map and h2.parent_map == h.parent_map
+        assert list(h2.parent_map) == [eid for layer in h.layers[:-1] for eid in sorted(layer.entity_ids)]
+
+        view, child = h2.parent_map, next(iter(h.parent_map))
+        with pytest.raises(TypeError):
+            view[child] = child
+        with pytest.raises(TypeError):
+            del view[child]
+        assert not hasattr(view, "update") and not hasattr(view, "pop")
+        top = next(iter(h.layers[-1].entity_ids))
+        for key in ["ghost", top, 7, None, ("tuple",), [child], b"e0000"]:
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
+        for key in ["ghost", child, 7, None, ("tuple",), b"r00000"]:
+            assert key not in h2.relations and key not in h2.layers[0].relation_ids
+            with pytest.raises(KeyError):
+                h2.relations[key]
+        copied = copy.deepcopy(h2).parent_map
+        assert type(copied) is dict and copied == h.parent_map
+    assert kinds[RelationKind.INTER_CLUSTER_CONCATENATED] and kinds[RelationKind.INTER_CLUSTER_AGGREGATED]
 
 
 def test_load_reads_each_file_once(tmp_path, monkeypatch):
