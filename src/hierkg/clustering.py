@@ -11,6 +11,29 @@ cap.
 Everything here works on row indices of an (n, d) matrix and never sees
 entity ids. Row order is the caller's concern: the result depends on it,
 so the build passes each layer's rows in sorted-id order.
+
+The fit's cost is its (n, m) arrays, so the EM loop is written to give
+the values of the plain formulas (tests/gmm_reference.py) bit for bit
+while touching less memory:
+- Buffers: the log-probabilities and the responsibilities live in two
+  (n, m) float64 arrays made once per fit. Products go into them with
+  np.matmul(out=) and in-place ufuncs, in the operation order of the
+  plain expressions.
+- Live exp: np.exp(x) is exactly 0.0 for x below about -745.13, and a
+  large fit leaves most of its responsibilities there. exp runs only on
+  the entries of log_prob - row_max above EXP_UNDERFLOW (-746); the rest
+  are written as 0.0. The same index serves the second exp, of
+  log_prob - log_norm, because log_norm >= row_max. When more than a
+  quarter of the entries are live, exp runs over the whole buffer
+  instead, which costs less than gathering them.
+- Seeding: a k-means++ distance is ||x||^2 - 2 x.mu + ||mu||^2, one
+  mat-vec per centre. Rows where that expansion is within SEED_NEAR_TOL
+  of 0, relative to ||x||^2 + ||mu||^2, take the direct sum of
+  (x - mu)^2 instead, so a copy of a centre reads exactly 0 and the
+  all-copies fallback to a uniform draw fires as it would with direct
+  sums throughout. Other rows differ from the direct sums by rounding
+  only, which can move a draw only when it falls within that rounding
+  of a boundary between two rows' shares.
 """
 
 from __future__ import annotations
@@ -25,6 +48,10 @@ from .errors import InvalidArgumentError
 VARIANCE_FLOOR = 1e-6
 EM_MAX_ITERS = 50
 EM_TOL = 1e-4
+# np.exp(x) is exactly 0.0 for every x below about -745.13
+EXP_UNDERFLOW = -746.0
+# relative size below which an expanded squared distance is recomputed directly
+SEED_NEAR_TOL = 1e-6
 
 
 @dataclass
@@ -44,12 +71,22 @@ def choose_num_components(n_entities: int, cluster_size: int) -> int:
 def _kmeanspp_means(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     means = np.empty((m, X.shape[1]))
-    diff = np.empty_like(X)  # one (n, d) scratch buffer for every component
+    sq_norms = np.einsum("ij,ij->i", X, X)
 
     def sq_dist(mean: np.ndarray) -> np.ndarray:
-        np.subtract(X, mean, out=diff)
-        np.square(diff, out=diff)
-        return diff.sum(axis=1)
+        # ||x||^2 - 2 x.mu + ||mu||^2: one mat-vec, no (n, d) temporary
+        mean_sq = float(mean @ mean)
+        dist = X @ mean
+        dist *= -2.0
+        dist += sq_norms
+        dist += mean_sq
+        # Cancellation leaves the expansion near 0 for rows at or near the
+        # centre, possibly negative; those rows take the direct sum, so a
+        # copy of the centre reads exactly 0.
+        near = np.flatnonzero(dist <= SEED_NEAR_TOL * (sq_norms + mean_sq))
+        if len(near):
+            dist[near] = np.square(X[near] - mean).sum(axis=1)
+        return dist
 
     first = int(rng.integers(n))
     means[0] = X[first]
@@ -66,17 +103,70 @@ def _kmeanspp_means(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _log_prob(
-    X: np.ndarray, X2: np.ndarray, means: np.ndarray, variances: np.ndarray, weights: np.ndarray
+    X: np.ndarray,
+    X2: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    weights: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """E-step: log N(x_i | mu_j, diag(var_j)) + log w_j for every point and component.
 
     The squared distance is expanded as x^2/var - 2 x mu/var + mu^2/var so
     that all components come from two (n, d) @ (d, m) products; X2 is X * X,
-    computed once per fit by the caller.
+    computed once per fit by the caller. The result goes to out, with
+    scratch holding the second product; both are (n, m) and made here when
+    not given. The operations run in the order of
+    -0.5 * (X2 @ iv.T - 2.0 * (X @ (mu * iv).T) + const) + log(w), so the
+    values do not depend on whether buffers are passed.
     """
     inv_var = 1.0 / variances
     const = np.sum(means * means * inv_var + np.log(2.0 * np.pi * variances), axis=1)
-    return -0.5 * (X2 @ inv_var.T - 2.0 * (X @ (means * inv_var).T) + const) + np.log(weights)
+    shape = (X.shape[0], means.shape[0])
+    out = np.empty(shape) if out is None else out
+    scratch = np.empty(shape) if scratch is None else scratch
+    np.matmul(X2, inv_var.T, out=out)
+    np.matmul(X, (means * inv_var).T, out=scratch)
+    scratch *= 2.0
+    out -= scratch
+    out += const
+    out *= -0.5
+    out += np.log(weights)
+    return out
+
+
+def _normalise(log_prob: np.ndarray, resp: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Fill resp with the responsibilities and return each row's log-sum-exp.
+
+    Bitwise equal to
+        row_max = log_prob.max(axis=1, keepdims=True)
+        log_norm = row_max[:, 0] + np.log(np.exp(log_prob - row_max).sum(axis=1))
+        resp = np.exp(log_prob - log_norm[:, None])
+    while running exp only where its result can be non-zero. live is an
+    (n, m) bool buffer.
+    """
+    row_max = log_prob.max(axis=1)
+    np.subtract(log_prob, row_max[:, None], out=resp)
+    np.greater(resp, EXP_UNDERFLOW, out=live)
+    if np.count_nonzero(live) * 4 > live.size:
+        # mostly live: exp over everything costs less than gathering
+        np.exp(resp, out=resp)
+        log_norm = row_max + np.log(resp.sum(axis=1))
+        np.subtract(log_prob, log_norm[:, None], out=resp)
+        np.exp(resp, out=resp)
+        return log_norm
+    index = np.flatnonzero(live)
+    flat = resp.reshape(-1)
+    values = flat[index]
+    resp.fill(0.0)
+    flat[index] = np.exp(values, out=values)
+    log_norm = row_max + np.log(resp.sum(axis=1))
+    # log_norm >= row_max, so no entry outside index has a non-zero exp here
+    values = log_prob.reshape(-1)[index]
+    values -= log_norm[index // resp.shape[1]]
+    flat[index] = np.exp(values, out=values)
+    return log_norm
 
 
 def _round_robin(n: int, m: int) -> ClusterAssignment:
@@ -113,13 +203,15 @@ def fit_gmm(X: np.ndarray, m: int, seed: int = 0) -> ClusterAssignment:
 
     X2 = X * X
     log_likelihoods: list[float] = []
-    resp = np.full((n, m), 1.0 / m)
+    # the (n, m) arrays of every iteration; resp doubles as _log_prob's
+    # scratch, since the M-step has read it by then
+    log_prob = np.empty((n, m))
+    resp = np.empty((n, m))
+    live = np.empty((n, m), dtype=bool)
     for _ in range(EM_MAX_ITERS):
-        log_prob = _log_prob(X, X2, means, variances, weights)
-        row_max = log_prob.max(axis=1, keepdims=True)
-        log_norm = row_max[:, 0] + np.log(np.exp(log_prob - row_max).sum(axis=1))
+        _log_prob(X, X2, means, variances, weights, out=log_prob, scratch=resp)
+        log_norm = _normalise(log_prob, resp, live)
         ll = float(log_norm.sum())
-        resp = np.exp(log_prob - log_norm[:, None])
 
         if log_likelihoods and abs(ll - log_likelihoods[-1]) < EM_TOL:
             log_likelihoods.append(ll)
