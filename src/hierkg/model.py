@@ -10,17 +10,17 @@ and kind codes: the arrays an index stores); its violations() states
 each structural rule once, for validate_hierarchy, save_index and
 load_index alike, and every query view is made from it. A loaded
 index's entities, relations and chunks are LazyRows maps, which make
-each row on its first read, its layers' id sets are IdRange views of
-the id lists, and its parent_map is a ParentMap view of the parent rows.
-A relation's row is found by binary search in its layer's sorted ids
-(SortedRunRows), so a load builds no map over the relations.
+each row on its first read. Its parent_map is a RowRange view, which
+maps each entity below the top layer to its parent row's id, and each
+layer's id sets are the keys of RowRange views of that layer's run of
+the id lists. A relation's row is found by binary search in its layer's
+sorted ids (SortedRunRows), so a load builds no map over the relations.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
-from collections.abc import Set as AbstractSet
+from collections.abc import Callable, ItemsView, Iterable, Iterator, KeysView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -99,38 +99,11 @@ class Chunk:
 
 @dataclass
 class GraphLayer:
-    """The ids of one layer: sets in a build, read-only IdRange views in a load."""
+    """The ids of one layer: sets in a build, read-only RowRange key views in a load."""
 
     index: int
-    entity_ids: set[str] | IdRange = field(default_factory=set)
-    relation_ids: set[str] | IdRange = field(default_factory=set)
-
-
-class IdRange(AbstractSet[str]):
-    """A read-only set view of ids[start:stop], which iterates in list order.
-
-    rows maps every id of ids to its index (a dict, or a SortedRunRows),
-    so membership is one lookup in rows; the view copies nothing. Set
-    operations return plain sets.
-    """
-
-    __slots__ = ("_ids", "_rows", "_start", "_stop")
-
-    def __init__(self, ids: Sequence[str], rows: Mapping[str, int], start: int, stop: int):
-        self._ids, self._rows, self._start, self._stop = ids, rows, start, stop
-
-    @classmethod
-    def _from_iterable(cls, it: Iterable[str]) -> set[str]:
-        return set(it)
-
-    def __contains__(self, x: object) -> bool:
-        return self._start <= self._rows.get(x, -1) < self._stop
-
-    def __iter__(self) -> Iterator[str]:
-        return islice(self._ids, self._start, self._stop)
-
-    def __len__(self) -> int:
-        return self._stop - self._start
+    entity_ids: set[str] | KeysView[str] = field(default_factory=set)
+    relation_ids: set[str] | KeysView[str] = field(default_factory=set)
 
 
 class SortedRunRows(Mapping[str, int]):
@@ -166,35 +139,39 @@ class SortedRunRows(Mapping[str, int]):
         return len(self._ids)
 
 
-class ParentMap(Mapping[str, str]):
-    """A read-only child id -> parent id view of a Structure's parent rows.
+class RowRange(Mapping[str, object]):
+    """A read-only map from each id of ids[start:stop] to value(its row),
+    which iterates in list order.
 
-    Its keys are the entities below the top layer, in row order; a
-    lookup reads one parent row, and the view builds nothing. A key that
-    is not a string is never found. A copy (copy.copy, copy.deepcopy,
-    pickle) is a plain dict.
+    rows maps every id of ids to its row (a dict, or a SortedRunRows), so a
+    lookup is one lookup in rows and one call of value; the view copies
+    nothing. value is the row itself by default. A key that is not a string
+    is never found. keys() is a read-only set view whose set operations
+    return plain sets. A copy (copy.copy, copy.deepcopy, pickle) is a plain
+    dict.
     """
 
-    __slots__ = ("_ids", "_rows", "_parents", "_n")
+    __slots__ = ("_ids", "_rows", "_start", "_stop", "_value")
 
-    def __init__(self, structure: Structure):
-        self._ids, self._rows, self._parents = structure.entity_ids, structure.entity_rows, structure.parents
-        self._n = len(self._ids) - structure.entity_counts[-1]
+    def __init__(
+        self, ids: Sequence[str], rows: Mapping[str, int], start: int, stop: int, value: Callable[[int], object] = int
+    ):
+        self._ids, self._rows, self._start, self._stop, self._value = ids, rows, start, stop, value
 
-    def __getitem__(self, key: str) -> str:
-        i = self._rows.get(key, self._n) if type(key) is str else self._n
-        if i >= self._n:
+    def __getitem__(self, key: str) -> object:
+        i = self._rows.get(key, -1) if type(key) is str else -1
+        if not self._start <= i < self._stop:
             raise KeyError(key)
-        return self._ids[self._parents[i]]
+        return self._value(i)
 
     def __contains__(self, key: object) -> bool:
-        return type(key) is str and self._rows.get(key, self._n) < self._n
+        return type(key) is str and self._start <= self._rows.get(key, -1) < self._stop
 
     def __iter__(self) -> Iterator[str]:
-        return islice(self._ids, self._n)
+        return islice(self._ids, self._start, self._stop)
 
     def __len__(self) -> int:
-        return self._n
+        return self._stop - self._start
 
     def __reduce__(self):
         return dict, (dict(self.items()),)
@@ -254,7 +231,7 @@ class Hierarchy:
     index is k; it lists exactly the entities and relations whose layer
     field is k, and layer 0 is never empty. parent_map (child id -> parent
     id) is the only record of parent links; top-layer entities have no entry.
-    A build fills a dict; load_index sets a read-only ParentMap view of
+    A build fills a dict; load_index sets a read-only RowRange view of
     structure.parents, so a loaded hierarchy's links cannot be changed in
     place (a copy.deepcopy of it holds plain dicts that can).
 
@@ -273,7 +250,7 @@ class Hierarchy:
     entities: dict[str, Entity] = field(default_factory=dict)
     relations: dict[str, Relation] = field(default_factory=dict)
     layers: list[GraphLayer] = field(default_factory=list)
-    parent_map: dict[str, str] | ParentMap = field(default_factory=dict)
+    parent_map: dict[str, str] | RowRange = field(default_factory=dict)
     build_params: BuildParams | None = None
 
     @cached_property
@@ -580,10 +557,10 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
     """Check every structural invariant; returns human-readable violations.
 
     An empty list means the hierarchy is well formed. Violations are data,
-    not exceptions: callers decide whether to fail. This checks the rules
-    only the dict form can break, then, if they all hold, the links of
-    Structure.of(h) by Structure.violations, the rules load_index and
-    save_index enforce.
+    not exceptions: callers decide whether to fail; save_index refuses h
+    when the list is not empty. This checks the rules only the dict form
+    can break, then, if they all hold, the links of Structure.of(h) by
+    Structure.violations, the rules load_index enforces.
     """
     violations = [] if h.layers and h.layers[0].entity_ids else ["layer 0 is empty"]
     violations += [f"layer {k}: index field is {layer.index}" for k, layer in enumerate(h.layers) if layer.index != k]

@@ -45,24 +45,27 @@ destination must be missing, an empty directory or an index
 A load reads each shard once and verifies the content hash before
 anything else. It then checks the format with whole-array checks:
 manifest layer indices exactly 0..k-1 for some k >= 1, layer sizes
-that sum to the id counts, ids that are strings and do not repeat,
-entity and relation ids sorted within each layer, offsets that do not
-decrease from 0 to their shard's length, an empty relation text row
-exactly for each concatenated relation and an embedding shard of exactly
-n * embedding_dim * 8 bytes. The links must pass Structure.violations,
-the structural rules validate_hierarchy reports and save_index enforces.
-Any failure raises StoreError (CLI exit 3).
+that sum to the id counts, ids that are strings, one id-run rule for the
+entity, relation and chunk ids (each layer's run, and the one run of the
+chunks, is strictly increasing, and no id sits on two runs), offsets
+that do not decrease from 0 to their shard's length, an empty relation
+text row exactly for each concatenated relation and an embedding shard
+of exactly n * embedding_dim * 8 bytes. The links must pass
+Structure.violations, the structural rules of validate_hierarchy, all of
+which save_index enforces. Any failure raises StoreError (CLI exit 3).
 The embedding table is a read-only view of the bytes read, and so are
 the arrays of Hierarchy.structure. A load builds an id -> row dict only
 for the entities and the chunks: a relation's row is found by binary
-search in its layer's sorted ids (SortedRunRows), and parent_map is a
-read-only ParentMap view of the parent rows. Each layer's id sets are
-IdRange views of the id lists; entities, relations and chunks are
-LazyRows maps that make a row on its first read. A row that is
-malformed, a relation row that is not UTF-8 and a concatenated relation
-with no evidence raise StoreError at that read, so a query fails with
-exit 3 when it reaches one. An index of an earlier
-format is refused with a StoreError naming its version.
+search in its layer's sorted ids (SortedRunRows). parent_map and each
+layer's id sets are read-only RowRange views of the id lists: parent_map
+reads the parent rows, and a layer's entity_ids and relation_ids are
+the keys of its runs. Entities, relations and chunks are LazyRows maps
+that make a row on its first read. A row that is malformed, an entity
+row that lists chunk ids off layer 0 or none on it, a relation row that
+is not UTF-8 and a concatenated relation with no evidence raise
+StoreError at that read, so a query fails with exit 3 when it reaches
+one. An index of an earlier format is refused with a StoreError naming
+its version.
 """
 
 from __future__ import annotations
@@ -91,14 +94,14 @@ from .model import (
     Entity,
     GraphLayer,
     Hierarchy,
-    IdRange,
     LazyRows,
-    ParentMap,
     RELATION_KINDS,
     Relation,
     RelationKind,
+    RowRange,
     SortedRunRows,
     Structure,
+    validate_hierarchy,
 )
 from .providers import count_tokens
 
@@ -377,21 +380,17 @@ def save_index(
     """Write h, one vector per entity and the chunks as a format-3 index.
 
     Raises InvalidArgumentError before writing anything when directory
-    fails check_out_dir, when a relation or parent link names an entity
-    that no layer lists, when the links break a rule of
-    Structure.violations, when the vectors' ids differ from the entities
-    of h's layers, or when a relation's text cannot be stored once: a
-    concatenated relation whose description is not the join of its
-    evidence, or another relation with an empty description.
+    fails check_out_dir, when validate_hierarchy reports a violation (the
+    message names the first), when the vectors' ids differ from the
+    entities of h's layers, or when a relation's text cannot be stored
+    once: a concatenated relation whose description is not the join of
+    its evidence, or another relation with an empty description.
     """
     directory = Path(directory).absolute()
     check_out_dir(directory)
-    try:
-        structure = Structure.of(h)
-    except KeyError as exc:
-        raise InvalidArgumentError(f"cannot save: {exc.args[0]!r} is not listed by any layer of the hierarchy") from None
-    for violation in structure.violations()[:1]:
+    for violation in validate_hierarchy(h)[:1]:
         raise InvalidArgumentError(f"cannot save: {violation}")
+    structure = Structure.of(h)
     entity_ids, relation_ids = structure.entity_ids, structure.relation_ids
     if isinstance(embeddings, EmbeddingTable) and embeddings.ids == tuple(entity_ids):
         table = embeddings
@@ -508,7 +507,7 @@ def load_index(
 
     entity_counts = [stat["entities"] for stat in manifest.layer_stats]
     relation_counts = [stat["relations"] for stat in manifest.layer_stats]
-    ids, rows = _read_ids(shards["ids.json"], entity_counts, relation_counts)
+    ids, rows, starts = _read_ids(shards["ids.json"], entity_counts, relation_counts)
     entity_ids, relation_ids, chunk_ids = ids["entities"], ids["relations"], ids["chunks"]
     arrays = _read_structure(shards["structure.bin"], len(entity_ids), len(relation_ids), len(chunk_ids))
     for kind, shard in (("entity", "entities.jsonl"), ("relation", "relations.txt"), ("chunk", "chunks.jsonl")):
@@ -532,16 +531,16 @@ def load_index(
         raise StoreError(f"embeddings.bin: {len(data)} bytes; {n} vectors of dim {dim} take {n * dim * 8}")
     matrix = np.frombuffer(data, "<f8").reshape(n, dim)
 
-    entity_starts = list(itertools.accumulate(entity_counts, initial=0))
-    relation_starts = list(itertools.accumulate(relation_counts, initial=0))
+    entity_starts, relation_starts = starts["entities"], starts["relations"]
+    parents = structure.parents
     h = Hierarchy(
         entities=LazyRows(entity_rows, _entity_reader(shards["entities.jsonl"], arrays["entity_offsets"], entity_ids, entity_starts)),
         relations=LazyRows(relation_rows, _RelationReader(shards["relations.txt"], arrays["relation_offsets"], structure, relation_starts)),
         layers=[
-            GraphLayer(k, IdRange(entity_ids, entity_rows, a, b), IdRange(relation_ids, relation_rows, c, d))
+            GraphLayer(k, RowRange(entity_ids, entity_rows, a, b).keys(), RowRange(relation_ids, relation_rows, c, d).keys())
             for k, (a, b, c, d) in enumerate(zip(entity_starts, entity_starts[1:], relation_starts, relation_starts[1:]))
         ],
-        parent_map=ParentMap(structure),
+        parent_map=RowRange(entity_ids, entity_rows, 0, entity_starts[-2], lambda i: entity_ids[parents[i]]),
         build_params=build_params,
     )
     h.structure = structure
@@ -575,11 +574,13 @@ def _read_manifest(directory: Path) -> tuple[IndexManifest, BuildParams | None]:
 
 def _read_ids(
     data: bytes, entity_counts: list[int], relation_counts: list[int]
-) -> tuple[dict[str, list[str]], dict[str, Mapping[str, int]]]:
-    """The entity, relation and chunk ids of ids.json and their row numbers,
-    keyed by "entities", "relations" and "chunks", checked against the
-    manifest's layer sizes. The entity and chunk rows are dicts; a
-    relation's row is found by binary search in its layer (SortedRunRows)."""
+) -> tuple[dict[str, list[str]], dict[str, Mapping[str, int]], dict[str, list[int]]]:
+    """The entity, relation and chunk ids of ids.json, their row numbers and
+    the starts of their runs, each keyed by "entities", "relations" and
+    "chunks". The entities and relations run layer by layer, as the
+    manifest's layer sizes give; the chunks form one run. The entity and
+    chunk rows are dicts; a relation's row is found by binary search in its
+    layer (SortedRunRows)."""
     try:
         doc = json.loads(data)
         ids = {key: doc[key] for key in ("entities", "relations", "chunks")}
@@ -588,26 +589,23 @@ def _read_ids(
         "".join(itertools.chain(*ids.values()))  # TypeError unless every id is a string
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"ids.json is malformed: {exc!r}") from None
-    for kind, counts in (("entities", entity_counts), ("relations", relation_counts)):
-        if len(ids[kind]) != sum(counts):
-            raise StoreError(f"ids.json: {len(ids[kind])} {kind}, the manifest's layer sizes sum to {sum(counts)}")
-    rows: dict[str, Mapping[str, int]] = {}
-    for key in ("entities", "chunks"):
-        rows[key] = dict(zip(ids[key], range(len(ids[key]))))
-        if len(rows[key]) != len(ids[key]):
-            raise StoreError(f"ids.json: id {_repeated(ids[key])!r} appears twice in {key}")
-    relation_starts = list(itertools.accumulate(relation_counts, initial=0))
-    _check_relation_ids(ids["relations"], relation_starts)
-    rows["relations"] = SortedRunRows(ids["relations"], relation_starts)
-    for k, (a, b) in enumerate(itertools.pairwise(itertools.accumulate(entity_counts, initial=0))):
-        if ids["entities"][a:b] != sorted(ids["entities"][a:b]):
-            raise StoreError(f"ids.json: the layer-{k} entity ids are not in sorted order")
-    return ids, rows
+    starts = {
+        "entities": list(itertools.accumulate(entity_counts, initial=0)),
+        "relations": list(itertools.accumulate(relation_counts, initial=0)),
+        "chunks": [0, len(ids["chunks"])],
+    }
+    for kind, run_starts in starts.items():
+        if len(ids[kind]) != run_starts[-1]:
+            raise StoreError(f"ids.json: {len(ids[kind])} {kind}, the manifest's layer sizes sum to {run_starts[-1]}")
+        _check_id_runs(kind, ids[kind], run_starts)
+    rows = {key: dict(zip(ids[key], range(len(ids[key])))) for key in ("entities", "chunks")}
+    rows["relations"] = SortedRunRows(ids["relations"], starts["relations"])
+    return ids, rows, starts
 
 
-def _check_relation_ids(ids: list[str], starts: list[int]) -> None:
-    """Raise StoreError unless each layer's run ids[starts[k]:starts[k + 1]]
-    is strictly increasing and no id is on two layers."""
+def _check_id_runs(kind: str, ids: list[str], starts: list[int]) -> None:
+    """Raise StoreError unless each run ids[starts[k]:starts[k + 1]] is
+    strictly increasing and no id is on two runs."""
     runs = [ids[a:b] for a, b in itertools.pairwise(starts)]
     unsorted = [k for k, run in enumerate(runs) if any(map(operator.ge, run, itertools.islice(run, 1, None)))]
     # runs whose first-to-last spans are disjoint share no id; if two spans
@@ -619,8 +617,8 @@ def _check_relation_ids(ids: list[str], starts: list[int]) -> None:
         shared = any(map(operator.eq, merged, itertools.islice(merged, 1, None)))
     if unsorted or shared:
         if len(set(ids)) != len(ids):
-            raise StoreError(f"ids.json: id {_repeated(ids)!r} appears twice in relations")
-        raise StoreError(f"ids.json: the layer-{unsorted[0]} relation ids are not in sorted order")
+            raise StoreError(f"ids.json: id {_repeated(ids)!r} appears twice in {kind}")
+        raise StoreError(f"ids.json: rows {starts[unsorted[0]]}:{starts[unsorted[0] + 1]} of {kind} are not in sorted order")
 
 
 def _read_structure(data: bytes, n_entities: int, n_relations: int, n_chunks: int) -> dict[str, np.ndarray]:
@@ -649,12 +647,16 @@ def _json_row(shard: str, text: bytes, offsets: np.ndarray, i: int) -> object:
 
 
 def _entity_reader(text: bytes, offsets: np.ndarray, ids: list[str], starts: list[int]) -> Callable[[int], Entity]:
-    """Entity row i: its id and layer from the structure, the rest from its text row."""
+    """Entity row i: its id and layer from the structure, the rest from its
+    text row, which lists chunk ids exactly on layer 0."""
 
     def entity(i: int) -> Entity:
+        layer = bisect_right(starts, i) - 1
         match _json_row("entities.jsonl", text, offsets, i):
             case [str() as name, str() as description, list() as chunk_ids] if all(type(c) is str for c in chunk_ids):
-                return Entity(ids[i], name, description, bisect_right(starts, i) - 1, chunk_ids)
+                if bool(chunk_ids) != (layer == 0):
+                    raise StoreError(f"entities.jsonl: row {i}, on layer {layer}, lists {'' if chunk_ids else 'no '}chunk ids")
+                return Entity(ids[i], name, description, layer, chunk_ids)
             case row:
                 raise StoreError(f"entities.jsonl: row {i} {row!r:.120} is not [name, description, [chunk ids]]")
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,9 +10,9 @@ from hierkg.model import (
     Entity,
     GraphLayer,
     Hierarchy,
-    IdRange,
     Relation,
     RelationKind,
+    RowRange,
     validate_hierarchy,
 )
 
@@ -424,16 +426,32 @@ class TestEntitiesOfCluster:
             assert union == h.layers[i - 1].entity_ids
 
 
-def test_id_range_is_a_read_only_set_view():
+def test_row_range_is_a_read_only_mapping_view():
     ids = ["a", "b", "c", "d"]
-    view = IdRange(ids, {x: i for i, x in enumerate(ids)}, 1, 3)
+    rows = {x: i for i, x in enumerate(ids)}
+    view = RowRange(ids, rows, 1, 3, lambda i: ids[i].upper())
     assert list(view) == ["b", "c"] and len(view) == 2
-    assert "b" in view and "c" in view
-    assert "a" not in view and "d" not in view and "z" not in view
-    assert view == {"b", "c"} and {"b", "c"} == view and view != {"b"}
-    assert view - {"b"} == {"c"} and {"a", "b"} - view == {"a"}
-    assert type(view | {"x"}) is set
-    assert not hasattr(view, "add") and not hasattr(view, "discard")
+    assert view["b"] == "B" and view.get("c") == "C" and view.get("a") is None
+    assert dict(view) == {"b": "B", "c": "C"} and view == {"b": "B", "c": "C"}
+    assert RowRange(ids, rows, 1, 3)["c"] == 2  # the value is the row by default
+    for key in ["a", "d", "z", 7, None, ("b",), ["b"], b"b"]:
+        assert key not in view
+        with pytest.raises(KeyError):
+            view[key]
+    with pytest.raises(TypeError):
+        view["b"] = "x"
+    assert not hasattr(view, "update") and not hasattr(view, "pop")
+    for copied in (copy.copy(view), copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
+        assert type(copied) is dict and copied == {"b": "B", "c": "C"}
+
+    keys = view.keys()
+    assert list(keys) == ["b", "c"] and len(keys) == 2
+    assert "b" in keys and "c" in keys
+    assert "a" not in keys and "d" not in keys and "z" not in keys and 7 not in keys and ["b"] not in keys
+    assert keys == {"b", "c"} and {"b", "c"} == keys and keys != {"b"}
+    assert keys - {"b"} == {"c"} and {"a", "b"} - keys == {"a"}
+    assert type(keys | {"x"}) is set
+    assert not hasattr(keys, "add") and not hasattr(keys, "discard")
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import os
 import random
 import shutil
 from collections import Counter
+from collections.abc import KeysView
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from hierkg.model import (
     Entity,
     GraphLayer,
     Hierarchy,
-    IdRange,
     Relation,
     RelationKind,
+    RowRange,
     validate_hierarchy,
 )
 from hierkg.store import (
@@ -216,7 +217,10 @@ class TestIndexRoundTrip:
         assert h2.parent_map == h.parent_map
         assert [l.entity_ids for l in h2.layers] == [l.entity_ids for l in h.layers]
         assert [l.relation_ids for l in h2.layers] == [l.relation_ids for l in h.layers]
-        assert all(isinstance(ids, IdRange) for l in h2.layers for ids in (l.entity_ids, l.relation_ids))
+        # each layer's id sets are the keys of RowRange views, and parent_map is one
+        views = [ids for l in h2.layers for ids in (l.entity_ids, l.relation_ids)]
+        assert all(isinstance(ids, KeysView) and isinstance(ids._mapping, RowRange) for ids in views)
+        assert isinstance(h2.parent_map, RowRange)
         assert set(chunks2) == set(chunks)
         assert h2.build_params.to_dict() == h.build_params.to_dict()
         assert validate_hierarchy(h2) == []
@@ -453,6 +457,36 @@ class TestSave:
         # of kind base, for one, was written, and then loaded as well
         h, embeddings, chunks, _, _ = build_small_index(tmp_path, cluster_size=4)
         corrupt(h, random.Random(0))
+        violations = validate_hierarchy(h)
+        assert violations
+        out = tmp_path / "nested" / "out"
+        with pytest.raises(InvalidArgumentError) as exc:
+            save_index(h, embeddings, chunks, out)
+        assert str(exc.value) == f"cannot save: {violations[0]}"
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        ["leaf-declares-layer-1", "key-differs-from-id", "relation-declares-layer-1", "aggregate-with-chunks", "leaf-without-chunks"],
+    )
+    def test_saves_only_what_validate_hierarchy_accepts(self, tmp_path, change):
+        # each of these was once written, and the first three read back with
+        # validate_hierarchy == [] because the round trip rewrote the record
+        entities, relations, chunks = make_layer0(random.Random(0), 60, avg_degree=3)
+        h, embeddings, _ = build_hierarchy(
+            entities, relations, BuildParams(cluster_size=5, seed=0), MockEmbeddingProvider(), MockGenerationProvider()
+        )
+        leaf, aggregate = h.entities[min(h.layers[0].entity_ids)], h.entities[min(h.layers[1].entity_ids)]
+        if change == "leaf-declares-layer-1":
+            leaf.layer = 1
+        elif change == "key-differs-from-id":
+            leaf.id = "e-renamed"
+        elif change == "relation-declares-layer-1":
+            h.relations[min(h.layers[0].relation_ids)].layer = 1
+        elif change == "aggregate-with-chunks":
+            aggregate.source_chunk_ids.append(min(chunks))
+        else:
+            leaf.source_chunk_ids.clear()
         violations = validate_hierarchy(h)
         assert violations
         out = tmp_path / "nested" / "out"
@@ -709,6 +743,8 @@ class TestLoadFailsClosed:
             ("structure.bin", edit_structure(one_aggregate_adopts_layer_0), "load"),
             ("ids.json", edit_structure(swap_first_relation_ids), "load"),
             ("ids.json", edit_structure(relation_id_on_two_layers_in_order), "load"),
+            ("entities.jsonl", set_row("entities", 0, row=["name", "a leaf", []]), "read"),
+            ("entities.jsonl", set_row("entities", 1, row=["name", "an aggregate", ["c0"]]), "read"),
         ],
         ids=[
             "entity-row-not-object",
@@ -738,6 +774,8 @@ class TestLoadFailsClosed:
             "aggregate-without-children",
             "relation-ids-unsorted",
             "relation-id-on-two-layers-in-order",
+            "layer-0-entity-without-chunks",
+            "aggregate-with-chunks",
         ],
     )
     def test_malformed_row(self, tmp_path, caplog, shard, edit, when):
@@ -956,7 +994,8 @@ def with_stored_relations(h: Hierarchy, rng: random.Random) -> Hierarchy:
 
 def test_load_finds_every_relation_and_parent_by_row(tmp_path):
     # a load builds no relation id -> row map: each relation is found by
-    # binary search in its layer's sorted ids, and parent_map reads the parent rows
+    # binary search in its layer's sorted ids, and parent_map reads the parent rows;
+    # each layer's id sets are RowRange key views over the id lists
     kinds = Counter()
     for seed in range(12):
         rng = random.Random(seed)
@@ -970,6 +1009,8 @@ def test_load_finds_every_relation_and_parent_by_row(tmp_path):
             assert h2.relations[rid] == r
             assert [rid in layer.relation_ids for layer in h2.layers] == [k == r.layer for k in range(len(h.layers))]
             kinds[r.kind] += 1
+        for eid, e in h.entities.items():
+            assert [eid in layer.entity_ids for layer in h2.layers] == [k == e.layer for k in range(len(h.layers))]
         assert list(h2.relations) == [rid for layer in h.layers for rid in sorted(layer.relation_ids)]
         assert dict(h2.parent_map) == h.parent_map and h2.parent_map == h.parent_map
         assert list(h2.parent_map) == [eid for layer in h.layers[:-1] for eid in sorted(layer.entity_ids)]
@@ -989,6 +1030,8 @@ def test_load_finds_every_relation_and_parent_by_row(tmp_path):
             assert key not in h2.relations and key not in h2.layers[0].relation_ids
             with pytest.raises(KeyError):
                 h2.relations[key]
+        for key in [7, None, ("tuple",), [child], b"e0000", top.encode()]:
+            assert not any(key in layer.entity_ids for layer in h2.layers)
         copied = copy.deepcopy(h2).parent_map
         assert type(copied) is dict and copied == h.parent_map
     assert kinds[RelationKind.INTER_CLUSTER_CONCATENATED] and kinds[RelationKind.INTER_CLUSTER_AGGREGATED]
