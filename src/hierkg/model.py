@@ -562,6 +562,12 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
     can break, then, if they all hold, the links of Structure.of(h) by
     Structure.violations, the rules load_index enforces.
     """
+    return _checked_structure(h)[0]
+
+
+def _checked_structure(h: Hierarchy) -> tuple[list[str], Structure | None]:
+    """validate_hierarchy's violations, with the Structure.of(h) whose rules
+    it checked; None when a dict rule failed, as then Structure.of may not run."""
     violations = [] if h.layers and h.layers[0].entity_ids else ["layer 0 is empty"]
     violations += [f"layer {k}: index field is {layer.index}" for k, layer in enumerate(h.layers) if layer.index != k]
     top = len(h.layers) - 1
@@ -601,4 +607,7 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
         if key in seen_relation_keys:
             violations.append(f"relation {rid}: exact duplicate of another relation")
         seen_relation_keys.add(key)
-    return violations or Structure.of(h).violations()
+    if violations:
+        return violations, None
+    structure = Structure.of(h)
+    return structure.violations(), structure

@@ -8,13 +8,16 @@ connected through the hierarchy: seeds sharing a root contribute their
 ancestor chains truncated at the group's lowest common ancestor, and the
 resulting subgraph picks up layer-0 relations between co-retrieved seeds
 plus stored same-layer inter-cluster relations among retrieved
-aggregates. A flat shortest-path BFS over layer 0 is kept as the
+aggregates. A flat shortest-path search over layer 0 is kept as the
 redundancy baseline.
 
 Both paths find relations through one view, Hierarchy.neighbours, whose
 rows are made on first read: the subgraph intersects each retrieved
 node's neighbours with the node set and reads only the relations it
-keeps, and the BFS walks neighbour keys without reading any relation.
+keeps. The baseline runs one BFS per seed, finds each seed pair's
+shortest paths where the two seeds' BFS layers meet, and walks them in
+toward each seed, taking the relation ids from the same rows; it reads
+no relation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, StoreError
 from .model import EmbeddingTable, Hierarchy
 
 DEFAULT_MAX_HOPS = 4
@@ -89,6 +92,8 @@ def anchor_seeds(
     Aggregates are never candidates; ties break toward the smaller id.
     The table's rows must start with h.layer0_ids, as the tables from
     build_hierarchy, load_index and EmbeddingTable.for_hierarchy do.
+    Raises StoreError, naming the first such entity, when a layer-0
+    vector gives a score that is not finite (a NaN or infinite entry).
     """
     if not query.strip():
         raise InvalidArgumentError("query must be non-empty")
@@ -106,6 +111,9 @@ def anchor_seeds(
     # score the layer-0 rows on their own: a mat-vec over all N rows can
     # round differently in the last bits, as BLAS blocks rows by position
     scores = embeddings.matrix[: len(ids0)] @ qvec  # all vectors unit-length, so dot == cosine
+    # a NaN score passes no >= cut below: its entity never anchors, and a NaN at the cut anchors none
+    for i in np.flatnonzero(~np.isfinite(scores))[:1].tolist():
+        raise StoreError(f"layer-0 entity {ids0[i]}: embedding vector is not finite")
     candidates = range(len(ids0))
     if n < len(ids0):
         # everything scoring at least the n-th largest, so ties at the cut survive
@@ -223,50 +231,45 @@ def _relations_joining(h: Hierarchy, sources: Iterable[str], targets: set[str]) 
     return found
 
 
-def _reach(neighbours: dict[str, dict], nodes: Iterable[str]) -> set[str]:
-    """Every node one relation away from a node of nodes."""
-    return set().union(*map(neighbours.__getitem__, nodes))
-
-
 def _bfs_layers(neighbours: dict[str, dict], start: str, depth: int) -> list[set[str]]:
-    """Nodes by hop distance from start, up to depth: layers[k] holds those exactly k hops away."""
+    """Nodes by hop distance from start, up to depth: layers[k] holds those
+    exactly k hops away, and is empty past the last node reached."""
     layers = [{start}]
     seen = {start}
     while len(layers) <= depth:
-        frontier = _reach(neighbours, layers[-1]) - seen
-        if not frontier:
-            break
+        frontier = set().union(*map(neighbours.__getitem__, layers[-1])) - seen
         layers.append(frontier)
         seen |= frontier
     return layers
 
 
-def _shortest_path_layers(
-    neighbours: dict[str, dict], ball_a: list[set[str]], ball_b: list[set[str]], max_hops: int
-) -> list[set[str]] | None:
-    """Nodes on the shortest a-b paths of length <= max_hops, by distance from a.
+def _walk_in(
+    neighbours: dict[str, dict], shells: list[set[str]], stepped: set[str], frontier: set[str], hops: int, relation_ids: set[str]
+) -> None:
+    """Add the shortest paths from frontier in to a seed to stepped and relation_ids.
 
-    ball_a and ball_b are BFS layers of radius ceil(max_hops / 2), so every
-    such path has its midpoint in both; the two halves are walked out from
-    the midpoint one hop at a time. None when no such path exists.
+    frontier holds nodes hops away from the seed whose BFS layers are
+    shells. A node's step in is its neighbours one layer closer, with
+    every relation joining it to them. stepped holds the nodes already
+    stepped toward this seed, whose paths in are added already, so each
+    node is stepped at most once per seed.
     """
-
-    def shell(ball, k):
-        return ball[k] if k < len(ball) else set()
-
-    d = next(
-        (t for t in range(max_hops + 1) if shell(ball_a, (t + 1) // 2) & shell(ball_b, t // 2)), None
-    )
-    if d is None:
-        return None
-    mid = (d + 1) // 2
-    path = {mid: shell(ball_a, mid) & shell(ball_b, d - mid)}
-    # a neighbour of path[k - 1] at distance d - k from b is at distance k from a
-    for k in range(mid + 1, d + 1):
-        path[k] = shell(ball_b, d - k) & _reach(neighbours, path[k - 1])
-    for k in range(mid - 1, -1, -1):
-        path[k] = shell(ball_a, k) & _reach(neighbours, path[k + 1])
-    return [path[k] for k in range(d + 1)]
+    for k in range(hops, 0, -1):
+        frontier = frontier - stepped
+        if not frontier:
+            return
+        stepped |= frontier
+        inner, step = shells[k - 1], set()
+        for v in frontier:
+            row = neighbours[v]
+            for w in row.keys() & inner:
+                step.add(w)
+                rid = row[w]
+                if type(rid) is tuple:  # the relations of a parallel pair
+                    relation_ids.update(rid)
+                else:
+                    relation_ids.add(rid)
+        frontier = step
 
 
 def flat_path_retrieve(
@@ -275,7 +278,8 @@ def flat_path_retrieve(
     """Baseline: union of all shortest paths between seed pairs in layer 0.
 
     Every node and relation on any shortest path (length <= max_hops) is
-    collected; disconnected seeds are returned alone.
+    collected; disconnected seeds are returned alone. A pair's paths are
+    walked from their middle layer in toward each seed (_walk_in).
     """
     if max_hops < 1:
         raise InvalidArgumentError("max_hops must be >= 1")
@@ -284,19 +288,23 @@ def flat_path_retrieve(
     seed_ids = seeds.entity_ids
     radius = (max_hops + 1) // 2
     balls = {eid: _bfs_layers(neighbours, eid, radius) for eid in seed_ids}
-    node_ids: set[str] = set(seed_ids)
+    stepped: dict[str, set[str]] = {eid: set() for eid in seed_ids}
     relation_ids: set[str] = set()
     for i, a in enumerate(seed_ids):
+        ball_a = balls[a]
         for b in seed_ids[i + 1 :]:
-            path = _shortest_path_layers(neighbours, balls[a], balls[b], max_hops)
-            if path is None:
-                continue
-            node_ids.update(*path)
-            # a relation lies on a shortest path when it joins consecutive layers of it
-            for k in range(len(path) - 1):
-                relation_ids |= _relations_joining(h, path[k], path[k + 1])
+            ball_b = balls[b]
+            # d(a, b) is the first t at which shell ceil(t/2) of a meets shell
+            # floor(t/2) of b; that meeting is the paths' middle layer
+            for d in range(max_hops + 1):
+                middle = ball_a[(d + 1) // 2] & ball_b[d // 2]
+                if middle:
+                    break
+            if middle:
+                _walk_in(neighbours, ball_a, stepped[a], middle, (d + 1) // 2, relation_ids)
+                _walk_in(neighbours, ball_b, stepped[b], middle, d // 2, relation_ids)
     return RetrievedSubgraph(
-        node_ids=node_ids,
+        node_ids=set(seed_ids).union(*stepped.values()),
         path_relations=sorted(relation_ids),
         inter_cluster_relations=[],
         paths=[[eid] for eid in seed_ids],

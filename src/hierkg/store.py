@@ -101,7 +101,7 @@ from .model import (
     RowRange,
     SortedRunRows,
     Structure,
-    validate_hierarchy,
+    _checked_structure,
 )
 from .providers import count_tokens
 
@@ -388,9 +388,9 @@ def save_index(
     """
     directory = Path(directory).absolute()
     check_out_dir(directory)
-    for violation in validate_hierarchy(h)[:1]:
-        raise InvalidArgumentError(f"cannot save: {violation}")
-    structure = Structure.of(h)
+    violations, structure = _checked_structure(h)
+    if violations:
+        raise InvalidArgumentError(f"cannot save: {violations[0]}")
     entity_ids, relation_ids = structure.entity_ids, structure.relation_ids
     if isinstance(embeddings, EmbeddingTable) and embeddings.ids == tuple(entity_ids):
         table = embeddings

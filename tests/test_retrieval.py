@@ -586,7 +586,7 @@ class TestMatchesScanReference:
                 sub = assemble_subgraph(h, paths, lca_nodes)
                 node_ids, path_rel, inter = scan_assemble_subgraph(h, paths)
                 assert (sub.node_ids, sub.path_relations, sub.inter_cluster_relations) == (node_ids, path_rel, inter)
-                for max_hops in range(1, 6):
+                for max_hops in range(1, 8):
                     flat = flat_path_retrieve(h, seeds, max_hops=max_hops)
                     expected = scan_flat_path_retrieve(h, seeds.entity_ids, max_hops)
                     assert (flat.node_ids, flat.path_relations) == expected, (trial, max_hops)
@@ -623,6 +623,22 @@ class TestMatchesScanReference:
         for max_hops in range(1, 5):
             flat = flat_path_retrieve(h, seeds, max_hops=max_hops)
             assert (flat.node_ids, flat.path_relations) == scan_flat_path_retrieve(h, seed_ids, max_hops)
+
+    def test_adjacent_and_repeated_seeds(self, embed_provider):
+        # pairs at distance 1 (a seed and its neighbour) and 0 (a seed listed twice)
+        rng = random.Random(24)
+        for trial in range(20):
+            h, _ = hierarchy_with_relations(rng, rng.choice([15, 40]), rng.choice([1.5, 3.0, 6.0]), embed_provider)
+            leaves = sorted(h.layers[0].entity_ids)
+            seed_ids = rng.sample(leaves, rng.randint(1, 5))
+            for eid in list(seed_ids):
+                seed_ids += rng.sample(sorted(h.neighbours[eid]), min(2, len(h.neighbours[eid])))
+            seed_ids += rng.choices(seed_ids, k=3)
+            rng.shuffle(seed_ids)
+            seeds = SeedSet(query="q", entries=[(eid, 1.0) for eid in seed_ids], n=len(seed_ids))
+            for max_hops in range(1, 8):
+                flat = flat_path_retrieve(h, seeds, max_hops=max_hops)
+                assert (flat.node_ids, flat.path_relations) == scan_flat_path_retrieve(h, seed_ids, max_hops), (trial, max_hops)
 
 
 def exact(entries):

@@ -854,6 +854,20 @@ class TestLoadFailsClosed:
         assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
         assert "structure.bin" in caplog.text
 
+    def test_non_finite_layer_0_vector_fails_query(self, tmp_path, caplog, capsys):
+        # a NaN vector loads; `hierkg query` once left its entity out and exited 0,
+        # or, when the NaN score fell on the top-n cut, exited 2 with "seed set is empty"
+        h, embeddings, _, directory, _ = build_small_index(tmp_path)
+        matrix = embeddings.matrix.copy()
+        matrix[embeddings.ids.index(h.layer0_ids[7]), 3] = np.nan
+        (directory / "embeddings.bin").write_bytes(matrix.tobytes())
+        rehash(directory)
+        load_index(directory)
+        for top_n in ("10", "1"):
+            assert main(["query", "--index", str(directory), "--query", "glacier summit", "--top-n", top_n]) == 3
+        assert f"entity {h.layer0_ids[7]}: embedding vector is not finite" in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_bad_text_row_fails_query_at_first_read(self, tmp_path, caplog, capsys):
         # the index loads; the query fails when it reads a broken entity row
         _, _, _, directory, _ = build_small_index(tmp_path)
