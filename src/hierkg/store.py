@@ -34,16 +34,26 @@ evidence, as bucket_relations finds it). save_index refuses a hierarchy
 in which that join differs from the stored description.
 
 The manifest's content hash is SHA-256 over each shard's name, a NUL
-byte and its bytes, in sorted name order. save_index writes the whole
-directory beside its destination and renames it into place, so an
+byte and its bytes, in sorted name order (_hash_order, which save and
+load share). It covers the shards, not the manifest: a load checks the
+manifest's layer sizes and embedding_dim against the shards, but reads
+its build_params and provider_ids as written, unverified.
+
+save_index writes the whole directory beside its destination and
+renames it into place, so an
 interrupted save leaves the old index, if any, as it was; only between
 the two renames that swap the new index in does the old one sit beside
 the destination, under a name ending in .old. Nothing is fsynced. The
 destination must be missing, an empty directory or an index
 (check_out_dir); no file survives from an earlier index.
 
-A load reads each shard once and verifies the content hash before
-anything else. It then checks the format with whole-array checks:
+A load reads each shard once, in the hash's order, and checks the
+format while it hashes: a second thread hashes embeddings.bin, most of
+an index's bytes, while the calling thread reads the later shards and
+makes the checks below. It returns, or raises one of their errors, only
+if the content hash over the bytes read is the manifest's; if it is not,
+StoreError("content hash mismatch") replaces any error of those checks.
+No thread outlives a load. The checks are whole-array checks:
 manifest layer indices exactly 0..k-1 for some k >= 1, layer sizes
 that sum to the id counts, ids that are strings, one id-run rule for the
 entity, relation and chunk ids (each layer's run, and the one run of the
@@ -52,7 +62,9 @@ that do not decrease from 0 to their shard's length, an empty relation
 text row exactly for each concatenated relation and an embedding shard
 of exactly n * embedding_dim * 8 bytes. The links must pass
 Structure.violations, the structural rules of validate_hierarchy, all of
-which save_index enforces. Any failure raises StoreError (CLI exit 3).
+which save_index enforces, and no relation may repeat an earlier one's
+source, target, layer and description (validate_hierarchy's exact
+duplicate). Any failure raises StoreError (CLI exit 3).
 The embedding table is a read-only view of the bytes read, and so are
 the arrays of Hierarchy.structure. A load builds an id -> row dict only
 for the entities and the chunks: a relation's row is found by binary
@@ -77,6 +89,7 @@ import json
 import operator
 import secrets
 import shutil
+import threading
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -341,13 +354,19 @@ class _Evidence:
         return [np.sort(self._rows[i:j]) for i, j in zip(lo.tolist(), hi.tolist())]
 
 
-def _content_hash(names: Iterable[str], data_of: Callable[[str], bytes]) -> str:
+def _hash_order(names: Iterable[str]) -> Iterator[tuple[str, bytes]]:
+    """The content hash's order: each shard's name, in sorted name order,
+    with the bytes hashed before the shard's own, its name and a NUL byte."""
+    for name in sorted(names):
+        yield name, name.encode("utf-8") + b"\x00"
+
+
+def _content_hash(shards: Mapping[str, bytes]) -> str:
     """SHA-256 over each shard's name, a NUL byte and its bytes, in sorted name order."""
     digest = hashlib.sha256()
-    for name in sorted(names):
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(data_of(name))
+    for name, head in _hash_order(shards):
+        digest.update(head)
+        digest.update(shards[name])
     return digest.hexdigest()
 
 
@@ -433,7 +452,7 @@ def save_index(
         ],
         embedding_dim=table.matrix.shape[1],
         provider_ids=provider_ids or {},
-        content_hash=_content_hash(shards, shards.__getitem__),
+        content_hash=_content_hash(shards),
     )
     shards["manifest.json"] = (json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")
 
@@ -488,23 +507,63 @@ def load_index(
 ) -> tuple[Hierarchy, EmbeddingTable, dict[str, Chunk], IndexManifest]:
     """Load a format-3 index, reading each shard once.
 
-    The manifest and the content hash over the bytes read are verified
-    first, then the structure, as the module docstring lists; anything
-    else raises StoreError. Entity, relation and chunk rows are made on
-    their first read, which raises StoreError for a bad row. The vectors
-    come back as an EmbeddingTable in row order (EmbeddingTable.row_order).
+    The manifest is read first, then the shards in the content hash's
+    order. While a second thread hashes embeddings.bin, this one reads the
+    shards after it and checks the structure, as the module docstring
+    lists. A load returns, or raises an error of the structure, only when
+    the content hash over the bytes read is the manifest's; otherwise it
+    raises StoreError("content hash mismatch: ...") in place of any error
+    of the structure. A missing shard is reported as such. No thread
+    outlives the call. Entity, relation and chunk rows are
+    made on their first read, which raises StoreError for a bad row. The
+    vectors come back as an EmbeddingTable in row order
+    (EmbeddingTable.row_order).
     """
     directory = Path(directory)
     manifest, build_params = _read_manifest(directory)
     shards: dict[str, bytes] = {}
-    for name in SHARDS:
-        path = directory / name
-        if not path.is_file():
-            raise StoreError(f"index shard missing: {name}")
-        shards[name] = path.read_bytes()
-    if _content_hash(shards, shards.__getitem__) != manifest.content_hash:
+    # one update of the embedding shard, most of an index's bytes, runs on a
+    # thread: hashlib releases the GIL for it. The shards after it are hashed
+    # once that thread joins, as a thread that made more updates would wait
+    # for the GIL, which the structure checks hold, between them
+    digest, later, worker = hashlib.sha256(), [], None
+    failure = None
+    try:
+        for name, head in _hash_order(SHARDS):
+            path = directory / name
+            if not path.is_file():
+                raise StoreError(f"index shard missing: {name}")
+            shards[name] = data = path.read_bytes()
+            if worker is not None:
+                later += (head, data)
+            elif name == "embeddings.bin":
+                digest.update(head)
+                worker = threading.Thread(target=digest.update, args=(data,))
+                worker.start()
+            else:
+                digest.update(head)
+                digest.update(data)
+        try:
+            h, table, chunks = _read_index(shards, manifest, build_params)
+        except Exception as exc:  # reported only if the bytes are the ones hashed
+            failure = exc
+    finally:
+        if worker is not None:
+            worker.join()
+    for part in later:
+        digest.update(part)
+    if digest.hexdigest() != manifest.content_hash:
         raise StoreError("content hash mismatch: index is corrupt or partially written")
+    if failure is not None:
+        raise failure
+    return h, table, chunks, manifest
 
+
+def _read_index(
+    shards: dict[str, bytes], manifest: IndexManifest, build_params: BuildParams | None
+) -> tuple[Hierarchy, EmbeddingTable, dict[str, Chunk]]:
+    """The hierarchy, vectors and chunks of an index's shards, after the
+    checks of the module docstring; any failure raises StoreError."""
     entity_counts = [stat["entities"] for stat in manifest.layer_stats]
     relation_counts = [stat["relations"] for stat in manifest.layer_stats]
     ids, rows, starts = _read_ids(shards["ids.json"], entity_counts, relation_counts)
@@ -524,6 +583,14 @@ def load_index(
             f"relations.txt: relation {relation_ids[j]!r} of kind {RELATION_KINDS[kinds[j]].value} has "
             + ("a text row, which only the other kinds have" if kinds[j] == CONCATENATED else "an empty text row")
         )
+    entity_starts, relation_starts = starts["entities"], starts["relations"]
+    relations = _RelationReader(shards["relations.txt"], offsets, structure, relation_starts)
+    if duplicate := _exact_duplicate(structure, relations.description):
+        i, j = duplicate
+        raise StoreError(
+            f"relations.txt: relation {relation_ids[j]!r} is an exact duplicate of relation {relation_ids[i]!r}: "
+            "the same source, target, layer and description"
+        )
 
     n, dim = len(entity_ids), manifest.embedding_dim
     data = shards["embeddings.bin"]
@@ -531,11 +598,10 @@ def load_index(
         raise StoreError(f"embeddings.bin: {len(data)} bytes; {n} vectors of dim {dim} take {n * dim * 8}")
     matrix = np.frombuffer(data, "<f8").reshape(n, dim)
 
-    entity_starts, relation_starts = starts["entities"], starts["relations"]
     parents = structure.parents
     h = Hierarchy(
         entities=LazyRows(entity_rows, _entity_reader(shards["entities.jsonl"], arrays["entity_offsets"], entity_ids, entity_starts)),
-        relations=LazyRows(relation_rows, _RelationReader(shards["relations.txt"], arrays["relation_offsets"], structure, relation_starts)),
+        relations=LazyRows(relation_rows, relations),
         layers=[
             GraphLayer(k, RowRange(entity_ids, entity_rows, a, b).keys(), RowRange(relation_ids, relation_rows, c, d).keys())
             for k, (a, b, c, d) in enumerate(zip(entity_starts, entity_starts[1:], relation_starts, relation_starts[1:]))
@@ -545,7 +611,7 @@ def load_index(
     )
     h.structure = structure
     chunks = LazyRows(rows["chunks"], _chunk_reader(shards["chunks.jsonl"], arrays["chunk_offsets"], chunk_ids))
-    return h, EmbeddingTable(entity_ids, matrix, entity_rows), chunks, manifest
+    return h, EmbeddingTable(entity_ids, matrix, entity_rows), chunks
 
 
 def _read_manifest(directory: Path) -> tuple[IndexManifest, BuildParams | None]:
@@ -639,6 +705,26 @@ def _check_offsets(kind: str, offsets: np.ndarray, shard: str, size: int) -> Non
         raise StoreError(f"structure.bin: the {kind} row offsets do not run from 0 to the {size} bytes of {shard} without decreasing")
 
 
+def _exact_duplicate(structure: Structure, description: Callable[[int], str]) -> tuple[int, int] | None:
+    """The first relation row j, with an earlier row i, that has i's source,
+    target, layer and description (validate_hierarchy's exact duplicate),
+    as (i, j); None if there is none.
+
+    A relation that passes Structure.violations joins rows of its own
+    layer, so its source and target rows give its layer too: one sort of
+    those keys finds the candidates, and only their descriptions are read.
+    """
+    keys = structure.sources.astype(np.int64) * len(structure.entity_ids) + structure.targets
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    first: dict[tuple[int, str], int] = {}
+    for j in np.flatnonzero(np.isin(keys, repeated)).tolist():
+        i = first.setdefault((keys[j], description(j)), j)
+        if i != j:
+            return i, j
+    return None
+
+
 def _json_row(shard: str, text: bytes, offsets: np.ndarray, i: int) -> object:
     try:
         return json.loads(text[offsets[i] : offsets[i + 1]])
@@ -697,12 +783,12 @@ class _RelationReader:
             s.relation_ids[j],
             s.entity_ids[s.sources[j]],
             s.entity_ids[s.targets[j]],
-            self._description(j),
+            self.description(j),
             bisect_right(self._starts, j) - 1,
             RELATION_KINDS[s.kinds[j]],
         )
 
-    def _description(self, j: int) -> str:
+    def description(self, j: int) -> str:
         s = self._structure
         if s.kinds[j] != CONCATENATED:
             try:
@@ -720,7 +806,7 @@ class _RelationReader:
                 f"structure.bin: concatenated relation {s.relation_ids[j]!r} joins two aggregates "
                 "with no relation between their children"
             )
-        return "; ".join([self._description(i) for i in rows.tolist()])
+        return "; ".join([self.description(i) for i in rows.tolist()])
 
 
 def _repeated(ids: list) -> object:

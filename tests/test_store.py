@@ -6,6 +6,8 @@ import json
 import os
 import random
 import shutil
+import threading
+import time
 from collections import Counter
 from collections.abc import KeysView
 from pathlib import Path
@@ -193,6 +195,9 @@ class TestIngest:
         assert report.chunks == len(chunks) == len(got_c)
 
 
+SHARD_NAMES = ["chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.txt", "structure.bin"]
+
+
 def build_small_index(tmp_path, seed=3, name="idx", cluster_size=10):
     rng = random.Random(seed)
     entities, relations, chunks = make_layer0(rng, 30, avg_degree=3)
@@ -285,15 +290,69 @@ class TestIndexRoundTrip:
         for name in os.listdir(directory):
             assert (directory / name).read_bytes() == (tmp_path / "again" / name).read_bytes(), name
 
-    def test_one_byte_corruption_fails_closed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: bytes(b ^ 0xFF if i == len(data) // 2 else b for i, b in enumerate(data)),
+            lambda data: data[: len(data) // 2],
+            lambda data: b"\xff" * len(data),
+        ],
+        ids=["one-flipped-byte", "truncated-to-half", "every-byte-0xff"],
+    )
+    @pytest.mark.parametrize("shard", SHARD_NAMES)
+    def test_one_byte_corruption_fails_closed(self, tmp_path, shard, corrupt):
+        # the load checks the structure while it hashes; whatever else a corrupt
+        # shard breaks, the hash mismatch is the error, and no thread is left running
         _, _, _, directory, _ = build_small_index(tmp_path)
-        shard = directory / "embeddings.bin"
-        data = bytearray(shard.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        shard.write_bytes(bytes(data))
-        with pytest.raises(StoreError) as exc:
+        path = directory / shard
+        data = path.read_bytes()
+        path.write_bytes(corrupt(data))
+        assert path.read_bytes() != data
+        threads = threading.active_count()
+        with pytest.raises(StoreError, match="content hash mismatch"):
             load_index(directory)
-        assert "hash" in str(exc.value)
+        assert threading.active_count() == threads
+
+    def test_rehashed_malformed_ids_json_reports_the_parse_error(self, tmp_path):
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        path = directory / "ids.json"
+        path.write_bytes(path.read_bytes()[:-1])
+        rehash(directory)
+        threads = threading.active_count()
+        with pytest.raises(StoreError, match="ids.json is malformed"):
+            load_index(directory)
+        assert threading.active_count() == threads
+
+    def test_interrupt_during_parse_is_not_replaced(self, tmp_path, monkeypatch):
+        # only an Exception of the parse gives way to the hash mismatch, and
+        # the load waits for the thread hashing the embedding shard either way
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        path = directory / "embeddings.bin"
+        path.write_bytes(path.read_bytes()[:-1])
+
+        sha256 = hashlib.sha256
+
+        class SlowOffMainThread:
+            def __init__(self):
+                self._digest = sha256()
+
+            def update(self, data):
+                if threading.current_thread() is not threading.main_thread():
+                    time.sleep(0.05)
+                self._digest.update(data)
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(store.hashlib, "sha256", SlowOffMainThread)
+        monkeypatch.setattr(store, "_read_index", interrupted)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            load_index(directory)
+        assert threading.active_count() == threads
 
     def test_jsonl_corruption_fails_closed(self, tmp_path):
         _, _, _, directory, _ = build_small_index(tmp_path)
@@ -531,7 +590,6 @@ def test_cold_query_reads_only_the_rows_it_renders(tmp_path, monkeypatch, capsys
     assert dict.__len__(h.entities) < len(h.entities)
 
 
-SHARD_NAMES = ["chunks.jsonl", "embeddings.bin", "entities.jsonl", "ids.json", "relations.txt", "structure.bin"]
 # each text shard and the structure.bin array of its row offsets
 TEXT_SHARDS = {"entities.jsonl": "entity_offsets", "relations.txt": "relation_offsets", "chunks.jsonl": "chunk_offsets"}
 CONCATENATED = list(RelationKind).index(RelationKind.INTER_CLUSTER_CONCATENATED)
@@ -661,6 +719,22 @@ def concatenated_without_evidence(directory):
     write_structure(directory, ids, arrays)
 
 
+def exact_duplicate_of_previous(kind_code):
+    """The second relation of a kind takes the endpoints, and for a stored
+    text row the text, of the first: the same source, target, layer and
+    description. A concatenated relation's description is its evidence's,
+    so equal endpoints make equal descriptions."""
+
+    def apply(directory):
+        ids, arrays = read_structure(directory)
+        i, j = np.flatnonzero(arrays["kinds"] == kind_code)[:2].tolist()
+        arrays["sources"][j], arrays["targets"][j] = arrays["sources"][i], arrays["targets"][i]
+        write_structure(directory, ids, arrays)
+        edit_rows(directory, "relations.txt", lambda rows: rows.__setitem__(j, rows[i]))
+
+    return apply
+
+
 def relation_to_itself(ids, arrays):
     """The first layer-0 relation's target becomes its source."""
     j = first_row_of_layer(ids, "relations", 0)
@@ -745,6 +819,8 @@ class TestLoadFailsClosed:
             ("ids.json", edit_structure(relation_id_on_two_layers_in_order), "load"),
             ("entities.jsonl", set_row("entities", 0, row=["name", "a leaf", []]), "read"),
             ("entities.jsonl", set_row("entities", 1, row=["name", "an aggregate", ["c0"]]), "read"),
+            ("relations.txt", exact_duplicate_of_previous(list(RelationKind).index(RelationKind.BASE)), "load"),
+            ("relations.txt", exact_duplicate_of_previous(CONCATENATED), "load"),
         ],
         ids=[
             "entity-row-not-object",
@@ -776,6 +852,8 @@ class TestLoadFailsClosed:
             "relation-id-on-two-layers-in-order",
             "layer-0-entity-without-chunks",
             "aggregate-with-chunks",
+            "exact-duplicate-relation",
+            "exact-duplicate-concatenated-relation",
         ],
     )
     def test_malformed_row(self, tmp_path, caplog, shard, edit, when):
