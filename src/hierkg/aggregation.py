@@ -14,7 +14,8 @@ Passes repeat until the top layer holds at most stop_when_entities_leq
 entities or max_layers layers exist.
 
 The vectors live in one float64 matrix per layer, rows in sorted-id
-order: build_hierarchy embeds each layer with one embed_batch call,
+order: build_hierarchy embeds each layer with one embed_batch call and
+keeps the (n, d) array it returns as the layer's matrix, without a copy;
 clustering works on row indices of the top layer's matrix, and the
 layer matrices stack into the returned EmbeddingTable in its row order.
 """
@@ -197,20 +198,19 @@ def build_layer(
 
 
 def _embed_layer(h: Hierarchy, layer: GraphLayer, embed_provider, report: BuildReport, dim: int | None = None) -> np.ndarray:
-    """The layer's (n, d) float64 embedding matrix from one embed_batch call, rows in sorted-id order.
+    """The layer's (n, d) float64 embedding matrix, rows in sorted-id order:
+    the array one embed_batch call returns, kept without a copy.
 
     dim is layer 0's d, which every later layer must match; None for layer 0.
     """
     texts = [h.entities[eid].description for eid in sorted(layer.entity_ids)]
     vectors = embed_provider.embed_batch(texts)
     report.embed_calls += 1
-    # the batch's shape as each vector would make it; more than one means they differ
-    shapes = sorted({(len(vectors), *np.shape(v)) for v in vectors})
-    expected = (len(texts), shapes[0][-1] if dim is None and shapes else dim)
-    if shapes != [expected]:
-        got = " and ".join(map(str, shapes)) or "no vectors"
-        raise InvalidArgumentError(f"layer {layer.index} embedding batch has shape {got}, expected {expected}")
-    return np.array(vectors, dtype="<f8")
+    shape = vectors.shape
+    expected = (len(texts), shape[-1] if dim is None else dim)
+    if shape != expected:
+        raise InvalidArgumentError(f"layer {layer.index} embedding batch has shape {shape}, expected {expected}")
+    return vectors
 
 
 def build_hierarchy(

@@ -10,7 +10,10 @@ cap.
 
 Everything here works on row indices of an (n, d) matrix and never sees
 entity ids. Row order is the caller's concern: the result depends on it,
-so the build passes each layer's rows in sorted-id order.
+so the build passes each layer's rows in sorted-id order. The build's
+matrix is the array embed_batch returned; fit_gmm's input checks (every
+entry finite, every row close to the first) read it through its column
+maxima and minima, with no (n, d) copy.
 
 The fit's cost is its (n, m) arrays, so the EM loop is written to give
 the values of the plain formulas (tests/gmm_reference.py) bit for bit
@@ -173,6 +176,23 @@ def _round_robin(n: int, m: int) -> ClusterAssignment:
     return ClusterAssignment(clusters=[np.arange(j, n, m) for j in range(m)])
 
 
+def _finite_and_degenerate(X: np.ndarray) -> tuple[bool, bool]:
+    """Whether every entry of X is finite, and whether X is finite with
+    every row close to X[0]: np.isfinite(X).all() and
+    np.allclose(X, X[0], atol=1e-12), for an X with at least one row.
+
+    Both read X through one max and one min per column, with no (n, d)
+    temporary. NaN and +-inf reach the column max or min. Rounding is
+    monotone, so the largest |x - X[0]| in a column is hi - X[0] or
+    X[0] - lo as computed, and allclose's tolerance is atol + rtol*|X[0]|.
+    """
+    hi, lo = X.max(axis=0), X.min(axis=0)
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        return False, False
+    tol = 1e-12 + 1e-5 * np.abs(X[0])
+    return True, bool((hi - X[0] <= tol).all() and (X[0] - lo <= tol).all())
+
+
 def fit_gmm(X: np.ndarray, m: int, seed: int = 0) -> ClusterAssignment:
     """Partition the n rows of X, an (n, d) float matrix, into m clusters.
 
@@ -186,14 +206,15 @@ def fit_gmm(X: np.ndarray, m: int, seed: int = 0) -> ClusterAssignment:
     n = X.shape[0]
     if m > n:
         raise InvalidArgumentError(f"m={m} exceeds number of points n={n}")
-    if not np.all(np.isfinite(X)):
+    finite, degenerate = _finite_and_degenerate(X)
+    if not finite:
         raise InvalidArgumentError("embeddings contain non-finite values")
 
     if m == 1:
         return ClusterAssignment(clusters=[np.arange(n)])
 
     # degenerate input: no spread at all, EM cannot separate anything
-    if np.allclose(X, X[0], atol=1e-12):
+    if degenerate:
         return _round_robin(n, m)
 
     rng = np.random.default_rng(seed)

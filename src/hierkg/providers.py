@@ -5,6 +5,11 @@ functions, no network) and HTTP clients speaking a minimal JSON protocol
 (POST {"texts": [...]} -> {"vectors": [[...]]} for embeddings,
 POST {"prompt": ...} -> {"text": ...} for generation). The mocks are what
 every test and the acceptance suite run against.
+
+embed_batch(texts) returns one C-contiguous (len(texts), d) float64
+array, row i the L2-normalized vector of texts[i]. Each provider writes
+its vectors into that array as it makes them, so a batch is held once:
+the build keeps the array as the layer's matrix without copying it.
 """
 
 from __future__ import annotations
@@ -81,14 +86,14 @@ class MockEmbeddingProvider:
             raise InvalidArgumentError("dim too small for trigram hashing")
         self.dim = dim
 
-    def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise InvalidArgumentError("embed_batch requires at least one text")
-        out = []
-        for text in texts:
+        out = np.empty((len(texts), self.dim))
+        for i, text in enumerate(texts):
             if not text.strip():
                 raise InvalidArgumentError("cannot embed empty text")
-            out.append(self._embed_one(text))
+            out[i] = self._embed_one(text)
         return out
 
     def _embed_one(self, text: str) -> np.ndarray:
@@ -233,7 +238,7 @@ class HttpEmbeddingProvider:
         self.config = config
         self._client = _RetryingHttpClient(config, post=post, sleep=sleep)
 
-    def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise InvalidArgumentError("embed_batch requires at least one text")
         for text in texts:
@@ -244,18 +249,20 @@ class HttpEmbeddingProvider:
         vectors = body.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProviderUnavailableError("embedding response missing vectors")
-        out = []
-        for vec in vectors:
+        out = None  # (len(texts), d), made once the first vector gives d
+        for i, vec in enumerate(vectors):
             try:
                 arr = np.asarray(vec, dtype=np.float64)
             except (TypeError, ValueError):  # not numbers, or nested lists of uneven length
                 raise ProviderUnavailableError("embedding response contains a vector that is not numeric") from None
-            if arr.ndim != 1 or (out and arr.shape != out[0].shape):
+            if arr.ndim != 1 or (out is not None and arr.shape != out.shape[1:]):
                 raise ProviderUnavailableError(f"embedding response contains a vector of shape {arr.shape}")
             norm = np.linalg.norm(arr)
             if norm == 0.0 or not np.isfinite(norm):
                 raise ProviderUnavailableError("embedding response contains a degenerate vector")
-            out.append(arr / norm)
+            if out is None:
+                out = np.empty((len(vectors), len(arr)))
+            out[i] = arr / norm
         return out
 
 

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from hierkg.aggregation import bucket_relations, build_hierarchy
+from hierkg.aggregation import BuildReport, _embed_layer, bucket_relations, build_hierarchy
 from hierkg.errors import InvalidArgumentError, ProviderUnavailableError
 from hierkg.model import (
     BuildParams,
@@ -348,3 +350,35 @@ class TestEmbeddingShapes:
 
         with pytest.raises(InvalidArgumentError, match=r"layer 1 embedding batch has shape \((\d+), 16\), expected \(\1, 8\)"):
             self.build_with(post, gen_provider)
+
+
+class TestEmbedLayer:
+    """A layer's matrix is the array embed_batch returned, held once."""
+
+    def test_keeps_the_providers_array(self):
+        entities, relations, _ = make_layer0(random.Random(4), 30)
+        h = layer0_hierarchy(entities, relations)
+        returned = []
+
+        class Recording(MockEmbeddingProvider):
+            def embed_batch(self, texts):
+                returned.append(super().embed_batch(texts))
+                return returned[-1]
+
+        X = _embed_layer(h, h.layers[0], Recording(dim=16), BuildReport())
+        assert X.shape == (30, 16) and np.shares_memory(X, returned[0])
+
+    def test_peak_memory_is_the_matrix(self):
+        # a list of row arrays copied into the matrix by np.array peaks at 2.08x
+        n, d = 2000, 256
+        entities, relations, _ = make_layer0(random.Random(9), n)
+        h = layer0_hierarchy(entities, relations)
+        provider, report = MockEmbeddingProvider(dim=d), BuildReport()
+        tracemalloc.start()
+        try:
+            X = _embed_layer(h, h.layers[0], provider, report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (n, d)
+        assert peak < 1.25 * n * d * 8

@@ -4,6 +4,7 @@ import pytest
 from hierkg.clustering import (
     VARIANCE_FLOOR,
     ClusterAssignment,
+    _finite_and_degenerate,
     _log_prob,
     choose_num_components,
     fit_gmm,
@@ -136,6 +137,58 @@ class TestFitGmm:
         assert [len(c) for c in assignment.clusters] == [3, 3, 3]
         # deterministic: id i goes to cluster i % 3 over lexicographically sorted ids
         assert id_clusters(ids, assignment)[0] == {"e00", "e03", "e06"}
+
+
+class TestInputChecks:
+    """fit_gmm's column max/min checks against the (n, d) expressions they replace."""
+
+    @staticmethod
+    def near_constant(rng):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        y = rng.normal(size=d) * float(rng.choice([0.0, 1e-9, 1e-3, 1.0, 1e3, 1e9]))
+        tol = 1e-12 + 1e-5 * np.abs(y)
+        # offsets within, or up to half again beyond, allclose's tolerance;
+        # some rows are X[0] exactly
+        reach = float(rng.choice([0.5, 1.0, 1.5]))
+        X = y + tol * rng.uniform(-reach, reach, size=(n, d)) * (rng.random((n, 1)) < 0.8)
+        if rng.random() < 0.3:
+            # an offset of the tolerance itself, or one ulp either side of it
+            i, j = int(rng.integers(n)), int(rng.integers(d))
+            edge = np.nextafter(y[j] + tol[j], float(rng.choice([-np.inf, y[j] + tol[j], np.inf])))
+            X[i, j] = edge if rng.random() < 0.5 else 2 * X[0, j] - edge
+        if rng.random() < 0.2:
+            X[int(rng.integers(n)), int(rng.integers(d))] = rng.choice([np.nan, np.inf, -np.inf])
+        return X
+
+    def test_agree_with_isfinite_and_allclose(self):
+        rng = np.random.default_rng(35)
+        outcomes = set()
+        for _ in range(4000):
+            X = self.near_constant(rng)
+            finite, degenerate = _finite_and_degenerate(X)
+            assert finite == bool(np.isfinite(X).all())
+            if finite:
+                assert degenerate == bool(np.allclose(X, X[0], atol=1e-12)), X
+            else:
+                assert not degenerate
+            outcomes.add((finite, degenerate))
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_any_non_finite_entry_is_rejected(self, bad, m):
+        X = np.tile(np.arange(3.0), (4, 1))
+        X[2, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            fit_gmm(X, m)
+
+    def test_rows_within_tolerance_take_the_round_robin(self):
+        X = np.tile(np.array([1.0, -2.0, 0.0]), (6, 1))
+        X[3] += 1e-5 * np.abs(X[0]) * 0.5 + 5e-13
+        assert np.allclose(X, X[0], atol=1e-12)
+        assignment = fit_gmm(X, 2, seed=0)
+        assert [c.tolist() for c in assignment.clusters] == [[0, 2, 4], [1, 3, 5]]
+        assert assignment.log_likelihoods == []
 
 
 class TestEStep:

@@ -97,9 +97,17 @@ class TestMockEmbedding:
     def test_batching_is_invisible(self, texts):
         provider = MockEmbeddingProvider()
         whole = provider.embed_batch(texts)
-        split = provider.embed_batch(texts[:1]) + provider.embed_batch(texts[1:])
+        split = np.concatenate([provider.embed_batch(texts[:1]), provider.embed_batch(texts[1:])])
         for a, b in zip(whole, split):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [8, MOCK_EMBEDDING_DIM])
+    def test_batch_is_one_float64_matrix(self, dim):
+        texts = ["alpha", "Ab", "turbine rotor flux"]
+        batch = MockEmbeddingProvider(dim).embed_batch(texts)
+        assert batch.shape == (3, dim) and batch.dtype == np.float64 and batch.flags.c_contiguous
+        for row, text in zip(batch, texts):
+            assert row.tobytes() == embed_one_loop(text, dim).tobytes()
 
 
 class TestMockGeneration:
@@ -196,6 +204,19 @@ class TestHttpProviders:
         provider = HttpEmbeddingProvider(self.config(), post=post, sleep=lambda s: None)
         vec = provider.embed_batch(["hello"])[0]
         assert np.allclose(vec, [0.6, 0.8])
+
+    def test_embedding_rows_are_the_normalized_vectors_exactly(self):
+        rng = np.random.default_rng(5)
+        raw = [rng.normal(size=12) * scale for scale in (1e-3, 1.0, 7.0, 1e4)]
+
+        def post(url, payload, timeout):
+            return {"vectors": [v.tolist() for v in raw]}
+
+        provider = HttpEmbeddingProvider(self.config(), post=post, sleep=lambda s: None)
+        batch = provider.embed_batch(["a", "b", "c", "d"])
+        assert batch.shape == (4, 12) and batch.dtype == np.float64 and batch.flags.c_contiguous
+        for row, v in zip(batch, raw):
+            assert row.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
     @pytest.mark.parametrize("vector", [[[1.0, 2.0], [3.0]], "abc", {"x": 1.0}])
     def test_non_numeric_vector_is_a_provider_error(self, vector):
