@@ -213,57 +213,77 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the options that two commands or more declare alike
+SHARED_OPTIONS = {
+    "--index": {"required": True},
+    "--top-n": {"type": int, "default": 10},
+    "--top-c": {"type": int, "default": 5},
+    "--no-relations": {"action": "store_true"},
+    "--no-context": {"action": "store_true"},
+    "--max-hops": {"type": int, "default": retrieval.DEFAULT_MAX_HOPS},
+    "--providers": {"default": None},
+}
+
+# each subcommand's help, handler and options in the order --help lists
+# them: a name of SHARED_OPTIONS, or a name and its add_argument keywords
+COMMANDS = {
+    "build": ("ingest a JSONL knowledge file and build an index", cmd_build, [
+        ("--input", {"required": True}),
+        ("--out", {"required": True}),
+        ("--cluster-size", {"type": int, "default": 20}),
+        ("--tau", {"type": int, "default": 3}),
+        ("--max-layers", {"type": int, "default": 4}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--stop-at", {"type": int, "default": None}),
+        ("--workers", {"type": int, "default": 1}),
+        ("--providers", {"default": None, "help": "provider config JSON file"}),
+    ]),
+    "query": ("run one query against a built index", cmd_query, [
+        "--index",
+        ("--query", {"required": True}),
+        "--top-n",
+        "--top-c",
+        "--no-relations",
+        "--no-context",
+        ("--baseline", {"choices": ["flat"], "default": None}),
+        "--max-hops",
+        ("--format", {"choices": ["json", "text"], "default": "json"}),
+        "--providers",
+    ]),
+    "bench": ("token-redundancy comparison, hierarchy vs flat", cmd_bench, [
+        "--index",
+        ("--queries", {"required": True, "help": "file with one query per line"}),
+        "--top-n",
+        "--top-c",
+        "--max-hops",
+        "--no-relations",
+        "--no-context",
+        ("--format", {"choices": ["json", "csv"], "default": "json"}),
+        "--providers",
+    ]),
+    "stats": ("print manifest and layer statistics", cmd_stats, ["--index"]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The hierkg parser: every subcommand with its help, and the options
+    of command, or of every command when command is None. main declares
+    only the options of the command its argv names, the one it parses."""
     parser = argparse.ArgumentParser(prog="hierkg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="ingest a JSONL knowledge file and build an index")
-    p_build.add_argument("--input", required=True)
-    p_build.add_argument("--out", required=True)
-    p_build.add_argument("--cluster-size", type=int, default=20)
-    p_build.add_argument("--tau", type=int, default=3)
-    p_build.add_argument("--max-layers", type=int, default=4)
-    p_build.add_argument("--seed", type=int, default=0)
-    p_build.add_argument("--stop-at", type=int, default=None)
-    p_build.add_argument("--workers", type=int, default=1)
-    p_build.add_argument("--providers", default=None, help="provider config JSON file")
-    p_build.set_defaults(func=cmd_build)
-
-    p_query = sub.add_parser("query", help="run one query against a built index")
-    p_query.add_argument("--index", required=True)
-    p_query.add_argument("--query", required=True)
-    p_query.add_argument("--top-n", type=int, default=10)
-    p_query.add_argument("--top-c", type=int, default=5)
-    p_query.add_argument("--no-relations", action="store_true")
-    p_query.add_argument("--no-context", action="store_true")
-    p_query.add_argument("--baseline", choices=["flat"], default=None)
-    p_query.add_argument("--max-hops", type=int, default=retrieval.DEFAULT_MAX_HOPS)
-    p_query.add_argument("--format", choices=["json", "text"], default="json")
-    p_query.add_argument("--providers", default=None)
-    p_query.set_defaults(func=cmd_query)
-
-    p_bench = sub.add_parser("bench", help="token-redundancy comparison, hierarchy vs flat")
-    p_bench.add_argument("--index", required=True)
-    p_bench.add_argument("--queries", required=True, help="file with one query per line")
-    p_bench.add_argument("--top-n", type=int, default=10)
-    p_bench.add_argument("--top-c", type=int, default=5)
-    p_bench.add_argument("--max-hops", type=int, default=retrieval.DEFAULT_MAX_HOPS)
-    p_bench.add_argument("--no-relations", action="store_true")
-    p_bench.add_argument("--no-context", action="store_true")
-    p_bench.add_argument("--format", choices=["json", "csv"], default="json")
-    p_bench.add_argument("--providers", default=None)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_stats = sub.add_parser("stats", help="print manifest and layer statistics")
-    p_stats.add_argument("--index", required=True)
-    p_stats.set_defaults(func=cmd_stats)
-
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for option in options if command in (None, name) else ():
+            flag, kwargs = (option, SHARED_OPTIONS[option]) if type(option) is str else option
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else "")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -6,11 +6,12 @@ generated aggregate entities plus inter-cluster relations. Parent links
 form a forest (each entity has at most one parent, one layer up). The
 entity vectors live in one EmbeddingTable, in layer order. A Structure
 holds a hierarchy's links as rows (parent rows, relation endpoint rows
-and kind codes: the arrays an index stores); its violations() states
-each structural rule once, for validate_hierarchy, save_index and
-load_index alike, and every query view is made from it. A loaded
-index's entities, relations and chunks are LazyRows maps, which make
-each row on its first read. Its parent_map is a RowRange view, which
+and kind codes: the arrays an index stores); its violations() and
+exact_duplicates() state each structural rule once, for
+validate_hierarchy, save_index and load_index alike, and every query
+view is made from it. A loaded index's entities, relations and chunks
+are LazyRows maps, which make each row on its first read. Its
+parent_map is a RowRange view, which
 maps each entity below the top layer to its parent row's id, and each
 layer's id sets are the keys of RowRange views of that layer's run of
 the id lists. A relation's row is found by binary search in its layer's
@@ -24,7 +25,7 @@ from collections.abc import Callable, ItemsView, Iterable, Iterator, KeysView, M
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise
 
 import numpy as np
 
@@ -430,11 +431,11 @@ class Structure:
     def violations(self) -> list[str]:
         """One message per row that breaks a structural rule; each rule is stated once, here.
 
-        Every entity below the top layer has a parent exactly one layer up,
-        and no top-layer entity has one (a chain that climbs one layer per
-        step has no cycle). Every aggregate has a child. A relation joins
-        two distinct rows of its own layer. Every kind code is known, and
-        the kind is base exactly on layer 0.
+        Layer 0 is not empty. Every entity below the top layer has a parent
+        exactly one layer up, and no top-layer entity has one (a chain that
+        climbs one layer per step has no cycle). Every aggregate has a
+        child. A relation joins two distinct rows of its own layer. Every
+        kind code is known, and the kind is base exactly on layer 0.
         """
         ids, n, top = self.entity_ids, len(self.entity_ids), len(self.entity_counts) - 1
         entity_layer = np.repeat(np.arange(top + 1), self.entity_counts)
@@ -448,7 +449,7 @@ class Structure:
             return f"{ids[row]} at layer {entity_layer[row]}" if 0 <= row < n else f"row {row}, which does not exist"
 
         parents, parent_layer = self.parents, layer_of(self.parents)
-        violations = []
+        violations = [] if self.entity_counts and self.entity_counts[0] else ["layer 0 is empty"]
         wrong = np.where(entity_layer < top, parent_layer != entity_layer + 1, parents != -1)
         for i in np.flatnonzero(wrong).tolist():
             k, p = entity_layer[i], parents[i]
@@ -467,6 +468,22 @@ class Structure:
             kind = RELATION_KINDS[kinds[j]].value if known[j] else f"code {kinds[j]}"
             violations.append(f"relation {relation_ids[j]}: kind {kind} invalid at layer {relation_layer[j]}")
         return violations
+
+    def exact_duplicates(self, description: Callable[[int], str]) -> Iterator[tuple[int, int]]:
+        """(i, j) for each relation row j with the source, target, layer and
+        description of an earlier row, i the first such row, in row order;
+        description(j) is row j's description. Run it once violations() is
+        empty: a relation then joins rows of its own layer, so one sort of
+        its (source, target) row keys finds the candidates, and only their
+        descriptions are read."""
+        keys = self.sources.astype(np.int64) * len(self.entity_ids) + self.targets
+        ordered = np.sort(keys)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        first: dict[tuple[int, str], int] = {}
+        for j in np.flatnonzero(np.isin(keys, repeated)).tolist():
+            i = first.setdefault((keys[j], description(j)), j)
+            if i != j:
+                yield i, j
 
     def neighbour_rows(self) -> LazyRows:
         """Hierarchy.neighbours: one row per entity, made on its first read."""
@@ -513,8 +530,10 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
         self._row = {eid: i for i, eid in enumerate(self.ids)} if row is None else row
         if len(self._row) != len(self.ids):
             raise InvalidArgumentError("embedding table ids are not unique")
-        if matrix.dtype != np.dtype("<f8") or matrix.ndim != 2 or not matrix.flags.c_contiguous:
-            raise InvalidArgumentError(f"embedding matrix must be C-contiguous <f8 2-D, got {matrix.dtype} {matrix.shape}")
+        if matrix.dtype != np.dtype("<f8") or matrix.ndim != 2 or not matrix.flags.c_contiguous or not matrix.shape[1]:
+            raise InvalidArgumentError(
+                f"embedding matrix must be C-contiguous <f8 2-D with a column or more, got {matrix.dtype} {matrix.shape}"
+            )
         if matrix.shape[0] != len(self.ids):
             raise InvalidArgumentError(f"{matrix.shape[0]} embedding rows for {len(self.ids)} ids")
         matrix.flags.writeable = False
@@ -560,7 +579,8 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
     not exceptions: callers decide whether to fail; save_index refuses h
     when the list is not empty. This checks the rules only the dict form
     can break, then, if they all hold, the links of Structure.of(h) by
-    Structure.violations, the rules load_index enforces.
+    Structure.violations and, if those hold, its exact_duplicates: the
+    rules load_index enforces.
     """
     return _checked_structure(h)[0]
 
@@ -568,15 +588,21 @@ def validate_hierarchy(h: Hierarchy) -> list[str]:
 def _checked_structure(h: Hierarchy) -> tuple[list[str], Structure | None]:
     """validate_hierarchy's violations, with the Structure.of(h) whose rules
     it checked; None when a dict rule failed, as then Structure.of may not run."""
-    violations = [] if h.layers and h.layers[0].entity_ids else ["layer 0 is empty"]
-    violations += [f"layer {k}: index field is {layer.index}" for k, layer in enumerate(h.layers) if layer.index != k]
+    kinds = (
+        ("entity", h.entities, [layer.entity_ids for layer in h.layers]),
+        ("relation", h.relations, [layer.relation_ids for layer in h.layers]),
+    )
+    # the rules below sort ids, and an index holds only string ids
+    for kind, records, listings in kinds:
+        for x in chain(records, *listings):
+            if type(x) is not str:
+                return [f"{kind} {x!r}: id is {type(x).__name__}, not str"], None
+
+    violations = [f"layer {k}: index field is {layer.index}" for k, layer in enumerate(h.layers) if layer.index != k]
     top = len(h.layers) - 1
 
     # layer k lists exactly the records whose layer field is k
-    for kind, records, listings in (
-        ("entity", h.entities, [layer.entity_ids for layer in h.layers]),
-        ("relation", h.relations, [layer.relation_ids for layer in h.layers]),
-    ):
+    for kind, records, listings in kinds:
         declared: list[set[str]] = [set() for _ in listings]
         for key, record in records.items():
             if record.id != key:
@@ -600,14 +626,14 @@ def _checked_structure(h: Hierarchy) -> tuple[list[str], Structure | None]:
             violations.append(f"parent link {eid} -> {pid}: child does not exist")
         elif pid not in h.entities:
             violations.append(f"entity {eid}: parent {pid} does not exist")
-    seen_relation_keys: set[tuple] = set()
     for rid, r in h.relations.items():
         violations += [f"relation {rid}: endpoint {end} does not exist" for end in (r.source_id, r.target_id) if end not in h.entities]
-        key = (r.source_id, r.target_id, r.layer, r.description)
-        if key in seen_relation_keys:
-            violations.append(f"relation {rid}: exact duplicate of another relation")
-        seen_relation_keys.add(key)
     if violations:
         return violations, None
     structure = Structure.of(h)
-    return structure.violations(), structure
+    ids = structure.relation_ids
+    violations = structure.violations() or [
+        f"relation {ids[j]}: exact duplicate of relation {ids[i]}"
+        for i, j in structure.exact_duplicates(lambda j: h.relations[ids[j]].description)
+    ]
+    return violations, structure

@@ -54,17 +54,19 @@ makes the checks below. It returns, or raises one of their errors, only
 if the content hash over the bytes read is the manifest's; if it is not,
 StoreError("content hash mismatch") replaces any error of those checks.
 No thread outlives a load. The checks are whole-array checks:
-manifest layer indices exactly 0..k-1 for some k >= 1, layer sizes
-that sum to the id counts, ids that are strings, one id-run rule for the
+manifest layer indices exactly 0..k-1 for some k >= 1, an embedding_dim
+of 1 or more, layer sizes that sum to the id counts, ids that are
+strings, one id-run rule for the
 entity, relation and chunk ids (each layer's run, and the one run of the
 chunks, is strictly increasing, and no id sits on two runs), offsets
 that do not decrease from 0 to their shard's length, an empty relation
 text row exactly for each concatenated relation and an embedding shard
 of exactly n * embedding_dim * 8 bytes. The links must pass
-Structure.violations, the structural rules of validate_hierarchy, all of
-which save_index enforces, and no relation may repeat an earlier one's
-source, target, layer and description (validate_hierarchy's exact
-duplicate). Any failure raises StoreError (CLI exit 3).
+Structure.violations, the structural rules of validate_hierarchy (among
+them that layer 0 is not empty), all of which save_index enforces, and
+Structure.exact_duplicates: no relation may repeat an earlier one's
+source, target, layer and description. Any failure raises StoreError
+(CLI exit 3).
 The embedding table is a read-only view of the bytes read, and so are
 the arrays of Hierarchy.structure. A load builds an id -> row dict only
 for the entities and the chunks: a relation's row is found by binary
@@ -401,9 +403,10 @@ def save_index(
     Raises InvalidArgumentError before writing anything when directory
     fails check_out_dir, when validate_hierarchy reports a violation (the
     message names the first), when the vectors' ids differ from the
-    entities of h's layers, or when a relation's text cannot be stored
-    once: a concatenated relation whose description is not the join of
-    its evidence, or another relation with an empty description.
+    entities of h's layers or have dimension 0, or when a relation's text
+    cannot be stored once: a concatenated relation whose description is
+    not the join of its evidence, or another relation with an empty
+    description.
     """
     directory = Path(directory).absolute()
     check_out_dir(directory)
@@ -585,7 +588,7 @@ def _read_index(
         )
     entity_starts, relation_starts = starts["entities"], starts["relations"]
     relations = _RelationReader(shards["relations.txt"], offsets, structure, relation_starts)
-    if duplicate := _exact_duplicate(structure, relations.description):
+    if duplicate := next(structure.exact_duplicates(relations.description), None):
         i, j = duplicate
         raise StoreError(
             f"relations.txt: relation {relation_ids[j]!r} is an exact duplicate of relation {relation_ids[i]!r}: "
@@ -632,9 +635,11 @@ def _read_manifest(directory: Path) -> tuple[IndexManifest, BuildParams | None]:
     indices = [index for index, _, _ in counts]
     if not indices or indices != list(range(len(indices))):
         raise StoreError(f"manifest.json: layer indices {indices} are not 0..k-1 for some k >= 1")
-    sizes = [size for _, *pair in counts for size in pair] + [manifest.embedding_dim]
-    if not all(type(size) is int and size >= 0 for size in sizes):
-        raise StoreError(f"manifest.json: layer sizes and embedding_dim must be integers >= 0, got {sizes}")
+    sizes, dim = [size for _, *pair in counts for size in pair], manifest.embedding_dim
+    if not all(type(size) is int and size >= 0 for size in sizes) or type(dim) is not int or dim < 1:
+        raise StoreError(
+            f"manifest.json: layer sizes must be integers >= 0 and embedding_dim one >= 1, got {sizes} and {dim!r}"
+        )
     return manifest, build_params
 
 
@@ -703,26 +708,6 @@ def _read_structure(data: bytes, n_entities: int, n_relations: int, n_chunks: in
 def _check_offsets(kind: str, offsets: np.ndarray, shard: str, size: int) -> None:
     if offsets[0] != 0 or offsets[-1] != size or np.any(offsets[1:] < offsets[:-1]):
         raise StoreError(f"structure.bin: the {kind} row offsets do not run from 0 to the {size} bytes of {shard} without decreasing")
-
-
-def _exact_duplicate(structure: Structure, description: Callable[[int], str]) -> tuple[int, int] | None:
-    """The first relation row j, with an earlier row i, that has i's source,
-    target, layer and description (validate_hierarchy's exact duplicate),
-    as (i, j); None if there is none.
-
-    A relation that passes Structure.violations joins rows of its own
-    layer, so its source and target rows give its layer too: one sort of
-    those keys finds the candidates, and only their descriptions are read.
-    """
-    keys = structure.sources.astype(np.int64) * len(structure.entity_ids) + structure.targets
-    ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    first: dict[tuple[int, str], int] = {}
-    for j in np.flatnonzero(np.isin(keys, repeated)).tolist():
-        i = first.setdefault((keys[j], description(j)), j)
-        if i != j:
-            return i, j
-    return None
 
 
 def _json_row(shard: str, text: bytes, offsets: np.ndarray, i: int) -> object:

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from hierkg import providers
-from hierkg.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
+from hierkg.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, build_parser, main
 from hierkg.providers import count_tokens
 
 from helpers import make_layer0, write_ingest_jsonl
@@ -448,3 +450,49 @@ class TestStats:
         code = main([])
         capsys.readouterr()
         assert code == EXIT_USAGE
+
+
+# hierkg --help, hierkg bogus and each hierkg <command> --help at COLUMNS=80,
+# as printed when every command's options were declared on every call
+HELP_PINS = json.loads((Path(__file__).parent / "fixtures" / "cli_help.json").read_text(encoding="utf-8"))
+
+
+def parsed(parser, argv):
+    """The parsed arguments, or the exit code of a parse that exits."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParser:
+    """main declares only the options of the command its argv names."""
+
+    @pytest.mark.skipif(sys.version_info[:2] not in [(3, 10), (3, 11)], reason="pins argparse's output on Python 3.10 and 3.11")
+    @pytest.mark.parametrize("pin", HELP_PINS, ids=lambda pin: " ".join(pin["argv"]))
+    def test_help_and_usage_errors_print_the_pinned_bytes(self, pin, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(pin["argv"]) == pin["exit"]
+        assert capsys.readouterr() == (pin["stdout"], pin["stderr"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--input", "in.jsonl", "--out", "idx", "--workers", "4", "--stop-at", "3"],
+            ["query", "--index", "idx", "--query", "q", "--baseline", "flat", "--max-hops", "2", "--no-context"],
+            ["bench", "--index", "idx", "--queries", "q.txt", "--top-n", "3", "--format", "csv"],
+            ["stats", "--index", "idx"],
+            ["query", "--index", "idx"],
+            ["stats", "--index", "idx", "--query", "q"],
+            ["bench", "--index", "idx", "--queries", "q.txt", "--baseline", "flat"],
+            ["que", "--index", "idx"],
+            ["query", "--help"],
+            ["--help"],
+            [],
+        ],
+    )
+    def test_one_command_parses_as_all_commands_do(self, argv, capsys):
+        one = parsed(build_parser(argv[0] if argv else ""), argv)
+        one_output = capsys.readouterr()
+        assert one == parsed(build_parser(), argv)
+        assert one_output == capsys.readouterr()

@@ -95,10 +95,17 @@ def golden(request, tmp_path_factory):
         ),
         "bench_sha256": _sha256([_run(["bench", "--index", index, "--queries", str(work / "queries.txt")])]),
     }
-    return name, observed
+    return name, observed, work
 
 
 @pytest.mark.parametrize("key", ["content_hash", "layer_entity_counts", "query_sha256", "flat_sha256", "bench_sha256"])
 def test_output_matches_pin(golden, key):
-    name, observed = golden
+    name, observed, _ = golden
     assert observed[key] == PINS[name][key]
+
+
+def test_workers_build_the_same_index(golden):
+    # the README: with deterministic providers the index is the same for every --workers n
+    _, observed, work = golden
+    argv = ["build", "--input", str(work / "corpus.jsonl"), "--out", str(work / "index-4"), "--seed", "0", "--workers", "4"]
+    assert json.loads(_run(argv))["manifest"]["content_hash"] == observed["content_hash"]

@@ -105,6 +105,34 @@ class TestValidateHierarchy:
             h.relations["x"] = Relation("x", "e0", "e0", "stray", layer)
         assert f"{kind} x: layer {layer} outside hierarchy" in validate_hierarchy(h)
 
+    def test_exact_duplicate_names_both_relations(self):
+        h = minimal_hierarchy()
+        h.entities["e1"] = Entity("e1", "E1", "other", 0, ["c0"])
+        h.layers[0].entity_ids.add("e1")
+        for rid in ("r0", "r1", "r2"):
+            h.relations[rid] = Relation(rid, "e0", "e1", "same text", 0)
+            h.layers[0].relation_ids.add(rid)
+        assert validate_hierarchy(h) == [
+            "relation r1: exact duplicate of relation r0",
+            "relation r2: exact duplicate of relation r0",
+        ]
+        h.relations["r2"].description = "other text"
+        assert validate_hierarchy(h) == ["relation r1: exact duplicate of relation r0"]
+
+    @pytest.mark.parametrize(
+        "entity_ids, relation_id, first",
+        [((7, 8), "r0", "entity 7"), (("e7", 8), "r0", "entity 8"), (("e7", "e8"), 5, "relation 5")],
+        ids=["int-entity-ids", "str-and-int-entity-ids", "int-relation-id"],
+    )
+    def test_id_that_is_not_a_string(self, entity_ids, relation_id, first):
+        # int ids once passed, and save_index wrote an index that load_index
+        # refused; a str id beside an int one raised TypeError from a sort
+        h = Hierarchy(layers=[GraphLayer(0, set(entity_ids), {relation_id})])
+        for eid in entity_ids:
+            h.entities[eid] = Entity(eid, "E", "leaf", 0, ["c0"])
+        h.relations[relation_id] = Relation(relation_id, *entity_ids, "joins them", 0)
+        assert validate_hierarchy(h) == [f"{first}: id is int, not str"]
+
     def test_random_hierarchies_are_valid(self):
         for seed in range(10):
             h = make_random_hierarchy(random.Random(seed), n_leaves=50)

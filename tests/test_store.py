@@ -426,6 +426,25 @@ class TestIndexRoundTrip:
 
 
 class TestSave:
+    def test_refuses_ids_that_are_not_strings(self, tmp_path):
+        # an index of int ids was once written, and its load refused it
+        h = Hierarchy(layers=[GraphLayer(0, {7, 8}, {"r0"})])
+        for eid in (7, 8):
+            h.entities[eid] = Entity(eid, "E", "leaf", 0, ["c0"])
+        h.relations["r0"] = Relation("r0", 7, 8, "joins them", 0)
+        vectors = {7: np.ones(4), 8: np.ones(4)}
+        with pytest.raises(InvalidArgumentError, match="cannot save: entity 7: id is int, not str"):
+            save_index(h, vectors, {"c0": Chunk("c0", "text", "d0", 1)}, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_refuses_vectors_of_dimension_0(self, tmp_path):
+        h, embeddings, chunks, _, _ = build_small_index(tmp_path)
+        with pytest.raises(InvalidArgumentError, match="a column or more"):
+            save_index(h, {eid: np.empty(0) for eid in embeddings}, chunks, tmp_path / "out")
+        with pytest.raises(InvalidArgumentError, match="a column or more"):
+            EmbeddingTable(embeddings.ids, np.empty((len(embeddings), 0)))
+        assert not (tmp_path / "out").exists()
+
     def test_resave_leaves_no_stale_shard(self, tmp_path):
         # a 3-layer index saved again as a 2-layer one into the same directory
         h, embeddings, chunks, directory, _ = build_small_index(tmp_path, cluster_size=4)
@@ -780,6 +799,32 @@ def set_chunk_id(new):
     return edit_structure(lambda ids, arrays: ids["chunks"].__setitem__(0, new(ids) if callable(new) else new))
 
 
+def set_manifest(directory, **fields):
+    mpath = directory / "manifest.json"
+    doc = json.loads(mpath.read_text(encoding="utf-8"))
+    doc.update(fields)
+    mpath.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def emptied_layer_0(directory):
+    """One layer with no entity and no relation, over the same chunks."""
+    ids, arrays = read_structure(directory)
+    ids["entities"], ids["relations"] = [], []
+    for name in ("parents", "sources", "targets", "kinds"):
+        arrays[name] = arrays[name][:0]
+    arrays["entity_offsets"] = arrays["relation_offsets"] = np.zeros(1)
+    write_structure(directory, ids, arrays)
+    for shard in ("entities.jsonl", "relations.txt", "embeddings.bin"):
+        (directory / shard).write_bytes(b"")
+    set_manifest(directory, layer_stats=[{"index": 0, "entities": 0, "relations": 0}])
+
+
+def zero_width_embeddings(directory):
+    """Vectors of dimension 0: an empty embedding shard."""
+    (directory / "embeddings.bin").write_bytes(b"")
+    set_manifest(directory, embedding_dim=0)
+
+
 class TestLoadFailsClosed:
     """Shards that pass the hash check but disagree with the format or the
     manifest raise StoreError naming the shard: the structure at load, a
@@ -870,6 +915,24 @@ class TestLoadFailsClosed:
         assert shard in str(exc.value)
         assert main(["stats", "--index", str(directory)]) == 3
         assert shard in caplog.text
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(emptied_layer_0, "structure.bin: layer 0 is empty"), (zero_width_embeddings, "embedding_dim one >= 1")],
+        ids=["empty-layer-0", "zero-width-embeddings"],
+    )
+    def test_index_with_nothing_to_anchor_on(self, tmp_path, caplog, capsys, edit, message):
+        # each once loaded: stats exited 0, and query exited 2 with "seed set
+        # is empty" or "the index embeddings have dimension 0", a usage error
+        _, _, _, directory, _ = build_small_index(tmp_path)
+        edit(directory)
+        rehash(directory)
+        with pytest.raises(StoreError, match=message):
+            load_index(directory)
+        assert main(["query", "--index", str(directory), "--query", "glacier summit"]) == 3
+        assert main(["stats", "--index", str(directory)]) == 3
+        assert caplog.text.count(message) == 2
+        assert capsys.readouterr().out == ""
 
     def test_format_2_index_names_its_version(self, tmp_path, caplog, capsys):
         # a format-2 index: relations.jsonl held each relation's id, layer and description
